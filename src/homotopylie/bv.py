@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from . import linalg
 from .polynomial import MultiPoly, jacobian, eval_matrix
+from .scalars import QQ, GaussianRational
 
 
 # ------------------------------------------- polynomial views of a tower
@@ -482,25 +483,40 @@ class OrientationCocycle:
 def check_bv_orientable(oc, tol=1e-9):
     """Search for per-vertex square roots s_v with s_v^2 = fiber value
     and s_j = t_ij s_i along every edge.  Returns (True, section) or
-    (False, violating cycle as a vertex list)."""
+    (False, violating cycle as a vertex list).  When every fiber is +- a
+    rational square and every transition is rational, the roots and all
+    comparisons are exact (a root of a negative fiber is a
+    GaussianRational); otherwise roots are cmath roots compared within
+    tol."""
     import cmath
 
     n = oc.n_vertices
-    roots = [cmath.sqrt(complex(v)) for v in oc.fiber_values]
+    roots = _exact_roots(oc.fiber_values)
+    if roots is not None and all(isinstance(t, (int, Fraction)) for t in oc.transitions.values()):
+        scalar = Fraction
+
+        def near(a, b):
+            return a == b
+    else:
+        roots = [cmath.sqrt(complex(v)) for v in oc.fiber_values]
+        scalar = complex
+
+        def near(a, b):
+            return abs(a - b) <= tol
     adj = {}
     for (i, j), t in oc.transitions.items():
-        adj.setdefault(i, []).append((j, complex(t)))
-        adj.setdefault(j, []).append((i, 1.0 / complex(t)))
+        adj.setdefault(i, []).append((j, scalar(t)))
+        adj.setdefault(j, []).append((i, 1 / scalar(t)))
 
     def edge_sign(i, j, t):
         """The sign forced on eps_i * eps_j, or None if the data is not
         even a cocycle candidate on this edge."""
-        if abs(roots[j]) < tol or abs(roots[i]) < tol:
+        if near(roots[j], 0) or near(roots[i], 0):
             return None
         q = t * roots[i] / roots[j]
-        if abs(q - 1) <= tol:
+        if near(q, 1):
             return 1
-        if abs(q + 1) <= tol:
+        if near(q, -1):
             return -1
         return None
 
@@ -539,6 +555,21 @@ def check_bv_orientable(oc, tol=1e-9):
                     return False, cyc + list(reversed(tail))
     section = [eps[v] * roots[v] for v in range(n)]
     return True, section
+
+
+def _exact_roots(values):
+    """Square roots of rationals that are +- rational squares: rational
+    for a fiber >= 0, i times a rational for a negative one; None when
+    some value is not of that form."""
+    roots = []
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            return None
+        r = QQ.sqrt(Fraction(abs(v)))
+        if r is None:
+            return None
+        roots.append(r if v >= 0 else GaussianRational(0, r))
+    return roots
 
 
 def _path_to_root(parent, v):

@@ -11,9 +11,10 @@ import argparse
 import os
 import random
 import sys
+from fractions import Fraction
 
 from . import serialize
-from .scalars import QQ
+from .scalars import QQ, QQi, FloatComplexField, GaussianRational
 from .polynomial import MultiPoly
 from .linfty import LInftyAlgebra
 from .transfer import minimal_model
@@ -46,6 +47,18 @@ def _json_word(field, witness):
         "output_word": list(w_out),
         "coefficient": field.to_json(coeff),
     }
+
+
+def _json_detail(field, x):
+    """A witness detail (scalars, polynomials, indices, labels, nested in
+    tuples) as plain JSON."""
+    if isinstance(x, MultiPoly):
+        return serialize.poly_payload(x)
+    if isinstance(x, (list, tuple)):
+        return [_json_detail(field, y) for y in x]
+    if isinstance(x, (str, int)):
+        return x
+    return field.to_json(field.coerce(x))
 
 
 def _load_algebra(path):
@@ -98,14 +111,19 @@ def cmd_solve_mc(args):
     for _ in range(args.n_seeds):
         seed = {i: complex(rng.uniform(-1, 1), 0.0) for i in idx}
         sol = solve_mc(alg, seed, tol=args.tol_mc)
-        if sol is not None:
+        if sol.converged:
             sols.append(
                 {
                     "vector": {str(i): [c.real, c.imag] for i, c in sorted(sol.vector.items())},
                     "residual": sol.residual,
                 }
             )
-    payload = {"solutions": sols, "seeds": args.n_seeds, "tolerance": args.tol_mc}
+    payload = {
+        "solutions": sols,
+        "seeds": args.n_seeds,
+        "failed_seeds": args.n_seeds - len(sols),
+        "tolerance": args.tol_mc,
+    }
     _emit(args, "mc_solutions.json", serialize.dumps("mc_solutions", payload))
     return OK if sols else CHECK_FAILED
 
@@ -154,17 +172,17 @@ def cmd_qs_minimal_model(args):
     kind, payload = _read_doc(args.file, "qs_section")
     qs = serialize.section_from_payload(payload)
     dec = minimal_decomposition(qs)
-    ok = dec.verify()
+    checks = dec.verify()
     out = {
         "exact": dec.exact,
-        "identities_hold": ok,
+        "identities_hold": checks,
         "minimal_variables": dec.n_min,
         "contractible_variables": dec.n_con,
         "minimal": serialize.section_payload(dec.minimal),
         "adapted": serialize.section_payload(dec.adapted),
     }
     _emit(args, "qs_minimal.json", serialize.dumps("qs_minimal_model", out))
-    return OK if ok else CHECK_FAILED
+    return OK if all(checks.values()) else CHECK_FAILED
 
 
 def cmd_bv_verify(args):
@@ -173,7 +191,7 @@ def cmd_bv_verify(args):
     rep = validate_bv(bv)
     out = {"ok": rep.ok, "checks": rep.checks}
     if not rep.ok:
-        out["witness"] = {"class": rep.witness[0], "detail": rep.witness[1]}
+        out["witness"] = {"class": rep.witness[0], "detail": _json_detail(bv.field, rep.witness[1])}
     _emit(args, "bv_report.json", serialize.dumps("bv_report", out))
     return OK if rep.ok else CHECK_FAILED
 
@@ -183,14 +201,13 @@ def cmd_orient(args):
     oc = serialize.cocycle_from_payload(payload)
     ok, data = check_bv_orientable(oc)
     if ok:
-        section = []
-        for s in data:
-            from fractions import Fraction
-
-            if isinstance(s, (int, Fraction)):
-                section.append(QQ.to_json(QQ.coerce(s)))
-            else:
-                section.append(repr(complex(s).real))
+        # exact roots as Gaussian rationals, cmath roots as floats
+        section = [
+            QQi.to_json(QQi.coerce(s))
+            if isinstance(s, (int, Fraction, GaussianRational))
+            else FloatComplexField().to_json(complex(s))
+            for s in data
+        ]
         out = {"orientable": True, "section": section}
     else:
         out = {"orientable": False, "cycle": list(data)}

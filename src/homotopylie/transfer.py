@@ -1,6 +1,15 @@
 """Homotopy transfer: retracts, perturbation series, word-space transfer,
 minimal models and strong decompositions.
 
+`tree_transfer` is the production engine: `minimal_model`,
+`strong_decomposition` and the CLI `transfer` all go through it.  It
+sums the perturbation series column by column (tree recursion for the
+operations and the inclusion, memoized recursion for the projection) and
+builds no map of whole word spaces.  `homotopy_transfer` (the
+perturbation lemma `hpl_perturb` on word spaces) and `dgla_tree_transfer`
+are kept as test oracles; the engine's structure constants equal
+`homotopy_transfer`'s exactly.
+
 The perturbation series acts on anything map-like (graded maps or sparse
 word maps); in exact modes the Neumann series must terminate, in float
 mode it is truncated once terms fall below a relative tolerance.
@@ -11,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .graded import GradedSpace, GradedMap, ChainComplex
+from .graded import GradedSpace, GradedMap, ChainComplex, vec_clean
 from .multilinear import MultiLinearOp
 from .linfty import LInftyAlgebra, LInftyMorphism
 from . import words as W
@@ -114,14 +123,6 @@ def hpl_perturb(field, d_small, d_big, i, p, h, mu, check_square=False):
             raise ValueError("perturbation series did not terminate")
     d_small_new = d_small + acc
     return PerturbedRetract(d_small_new, d_big + mu, i_new, p_new, h_new)
-
-
-def perturb_retract(ctx, mu, check_square=True):
-    """hpl_perturb applied to a RetractContext of chain complexes."""
-    pr = hpl_perturb(
-        ctx.field, ctx.small.d, ctx.big.d, ctx.i, ctx.p, ctx.h, mu, check_square=check_square
-    )
-    return pr
 
 
 # ------------------------------------------------------------- splittings
@@ -282,7 +283,8 @@ class TransferResult:
 
 def homotopy_transfer(alg, ctx, arity_out=3, max_word_len=None):
     """Transfer the structure of `alg` along a retract of its underlying
-    complex (big side must be (alg.space, l_1))."""
+    complex (big side must be (alg.space, l_1)) by the perturbation lemma
+    on whole word spaces.  Test oracle for `tree_transfer`."""
     field = alg.field
     Vs = alg.shifted_space
     Ws = ctx.small.space.shifted(1)
@@ -374,13 +376,175 @@ def _extract_morphism(field, word_map, src_shifted, tgt_shifted, arity_out):
     return {k: f for k, f in comps.items() if not f.is_zero()}
 
 
+# ------------------------------------------------ tree transfer engine
+
+def tree_transfer(alg, ctx, arity_out=3):
+    """Transfer the structure of `alg` along a retract of its underlying
+    complex: the production engine.  It sums the HPL series of
+    `homotopy_transfer` one column at a time, so its structure constants
+    equal the oracle's exactly, without building any word map.
+
+    With mu the coderivation of the q_k, k >= 2, the series satisfy
+    I = S(i) - S(h) mu I and P = S(p) - P mu S(h).  On a word w over W[1]
+    the first gives the tree recursion
+      theta(w) = sum over set partitions of w into k >= 2 blocks of
+                 +- q_k(I(B_1), ..., I(B_k)),
+      I(x) = i(x),  I(w) = -h theta(w) for |w| >= 2,
+    with transferred operations l_k = p theta and inclusion components I.
+    On a word w over V[1] the second gives the projection components
+      f(x) = p(x),  f(w) = -f(mu S(h) w) for |w| >= 2,
+    from one column of S(h) and the mu columns of its output words."""
+    field = alg.field
+    Vs = alg.shifted_space
+    Ws = ctx.small.space.shifted(1)
+    degV, degW = Vs.degree_of, Ws.degree_of
+    i_c = _columns(ctx.i.shifted(1, Ws, Vs))
+    p_c = _columns(ctx.p.shifted(1, Vs, Ws))
+    h_c = _columns(ctx.h.shifted(1, Vs, Vs))
+    ip_c = {x: _apply(field, i_c, v) for x, v in p_c.items()}
+    q = {k: _by_word(op) for k, op in alg.sops.items() if k >= 2}
+    signs = {1: field.one, -1: -field.one}
+
+    thetas, incs = {}, {}  # memos over words on W[1]
+
+    def theta(w):
+        if w in thetas:
+            return thetas[w]
+        out = {}
+        for part in W._set_partitions(list(range(len(w)))):
+            index = q.get(len(part))
+            if index is None:
+                continue
+            # each block is sorted; order the blocks by smallest position
+            blocks = sorted(part, key=lambda b: b[0])
+            vecs = [inclusion(tuple(w[t] for t in b)) for b in blocks]
+            if not all(vecs):
+                continue
+            sgn = W._perm_sign(w, tuple(t for b in blocks for t in b), degW)
+            _add_into(field, out, _evaluate(field, index, vecs, degV), signs[sgn])
+        thetas[w] = out = vec_clean(field, out)
+        return out
+
+    def inclusion(w):
+        if len(w) == 1:
+            return i_c[w[0]]
+        if w not in incs:
+            # I has degree 0: a word of a degree V[1] lacks maps to zero
+            ok = W.word_degree(w, degW) in Vs.dims
+            incs[w] = _neg(field, _apply(field, h_c, theta(w))) if ok else {}
+        return incs[w]
+
+    sops = {}
+    if not ctx.small.d.is_zero():
+        sops[1] = _map_to_op(ctx.small.d, Ws)
+    inc = {1: _columns_op(i_c, Ws, Vs)}
+    for k in range(2, arity_out + 1):
+        op = MultiLinearOp(Ws, Ws, k, 1, "sym")
+        f = MultiLinearOp(Ws, Vs, k, 0, "sym")
+        for w in W.enumerate_words(Ws, k, k):
+            if W.word_degree(w, degW) + 1 in Ws.dims:
+                for o, c in _apply(field, p_c, theta(w)).items():
+                    op.add_entry(w, o, c)
+            for o, c in inclusion(w).items():
+                f.add_entry(w, o, c)
+        sops[k], inc[k] = op, f
+
+    mu_evals = {k: index.get for k, index in q.items()}
+    f_mus, projs = {}, {}  # memos over words on V[1]
+
+    def f_mu(u):
+        """f(mu u), memoized: the S(h) columns of different words share
+        output words."""
+        if u not in f_mus:
+            out = {}
+            for u2, c in W.coderivation_column(field, mu_evals, u, degV).items():
+                _add_into(field, out, projection(u2), c)
+            f_mus[u] = vec_clean(field, out)
+        return f_mus[u]
+
+    def projection(w):
+        if len(w) == 1:
+            return p_c[w[0]]
+        if w in projs:
+            return projs[w]
+        out = {}
+        # f has degree 0 and mu S(h) keeps the degree; S(h) w = 0 unless
+        # some letter has h(x) != 0
+        if W.word_degree(w, degV) in Ws.dims and any(h_c[x] for x in w):
+            col = W.symmetrized_homotopy_column(field, h_c.__getitem__, ip_c.__getitem__, w, degV)
+            for u, c in col.items():
+                _add_into(field, out, f_mu(u), -c)
+        projs[w] = out = vec_clean(field, out)
+        return out
+
+    prj = {1: _columns_op(p_c, Vs, Ws)}
+    for k in range(2, arity_out + 1):
+        f = MultiLinearOp(Vs, Ws, k, 0, "sym")
+        for w in W.enumerate_words(Vs, k, k):
+            for o, c in projection(w).items():
+                f.add_entry(w, o, c)
+        prj[k] = f
+
+    small = LInftyAlgebra(ctx.small.space, sops)
+    return TransferResult(
+        small, LInftyMorphism(small, alg, inc), LInftyMorphism(alg, small, prj), ctx
+    )
+
+
+def _columns(gmap):
+    """A graded map as {source index: sparse image vector}."""
+    one = gmap.field.one
+    return {x: gmap.apply({x: one}) for x in range(gmap.source.total_dim)}
+
+
+def _columns_op(cols, source, target):
+    """Arity-1 degree-0 morphism component from columns."""
+    op = MultiLinearOp(source, target, 1, 0, "sym")
+    for x, v in cols.items():
+        for o, c in v.items():
+            op.add_entry((x,), o, c)
+    return op
+
+
+def _apply(field, cols, v):
+    out = {}
+    for x, c in v.items():
+        _add_into(field, out, cols[x], c)
+    return vec_clean(field, out)
+
+
+def _by_word(op):
+    """A symmetric operation indexed by canonical input word."""
+    out = {}
+    for (w, o), c in op.entries.items():
+        out.setdefault(w, {})[o] = c
+    return out
+
+
+def _evaluate(field, index, vectors, deg_of):
+    """An indexed operation on sparse vectors (see MultiLinearOp.evaluate)."""
+    out = {}
+    for u, c in W._expand_product(field, vectors, deg_of).items():
+        val = index.get(u)
+        if val:
+            _add_into(field, out, val, c)
+    return out
+
+
+def _add_into(field, acc, v, c):
+    """acc += c v for sparse vectors."""
+    zero = field.zero
+    for k, x in v.items():
+        acc[k] = acc.get(k, zero) + c * x
+
+
 def minimal_model(alg, arity_out=3):
     """Transfer onto harmonic representatives of the cohomology of
     (L, l_1) via an elimination splitting."""
     cc = ChainComplex(alg.space, alg.twisted_differential({}), check=False)
     split = standard_splitting(cc)
     ctx = splitting_to_retract(split)
-    return homotopy_transfer(alg, ctx, arity_out=arity_out)
+    return tree_transfer(alg, ctx, arity_out=arity_out)
 
 
 # ------------------------------------------------- dgla tree recursion
@@ -469,7 +633,7 @@ def strong_decomposition(alg, arity_out=3):
     cc = ChainComplex(alg.space, alg.twisted_differential({}), check=False)
     split = standard_splitting(cc)
     ctx = splitting_to_retract(split)
-    tr = homotopy_transfer(alg, ctx, arity_out=arity_out)
+    tr = tree_transfer(alg, ctx, arity_out=arity_out)
     H = tr.small.space
 
     # source space: H x N with N = a complement of H carrying d

@@ -163,25 +163,38 @@ def _select_sign(word, positions, deg_of):
 def coderivation(field, ops, words, deg_of):
     """Extend a family {k: symmetric op of degree +1} to a coderivation on
     the span of `words`.  ops[k].eval_basis gives the corolla values."""
+    evals = {k: op.eval_basis for k, op in ops.items()}
     Q = WordMap(field)
-    ks = sorted(ops.keys())
     for w in words:
-        n = len(w)
-        for k in ks:
-            if k > n:
-                continue
-            op = ops[k]
-            for positions in combinations(range(n), k):
-                sel = tuple(w[p] for p in positions)
-                rest = tuple(w[p] for p in range(n) if p not in positions)
-                sgn = _select_sign(w, positions, deg_of)
-                val = op.eval_basis(sel)
-                for o, c in val.items():
-                    wo, s2 = canon_word((o,) + rest, deg_of)
-                    if wo is None:
-                        continue
-                    Q.add_to(w, wo, c * field.coerce(sgn * s2))
+        col = coderivation_column(field, evals, w, deg_of)
+        if col:
+            Q.cols[w] = col
     return Q
+
+
+def coderivation_column(field, evals, w, deg_of):
+    """The coderivation's column at the word w: evals[k](sel) is the
+    corolla value of the arity-k operation on a sorted tuple of letters
+    (a sparse vector, or empty/None)."""
+    out = {}
+    n = len(w)
+    for k in sorted(evals):
+        if k > n:
+            continue
+        ev = evals[k]
+        for positions in combinations(range(n), k):
+            val = ev(tuple(w[p] for p in positions))
+            if not val:
+                continue
+            rest = tuple(w[p] for p in range(n) if p not in positions)
+            sgn = _select_sign(w, positions, deg_of)
+            for o, c in val.items():
+                wo, s2 = canon_word((o,) + rest, deg_of)
+                if wo is None:
+                    continue
+                c = c if sgn * s2 == 1 else -c
+                out[wo] = out.get(wo, field.zero) + c
+    return {wo: c for wo, c in out.items() if not field.is_zero(c)}
 
 
 def _perm_sign(word, perm, deg_of):
@@ -289,6 +302,38 @@ def symmetrized_homotopy(field, apply_h, apply_ip, words, deg_of):
         if col:
             out.cols[w] = col
     return out
+
+
+def symmetrized_homotopy_column(field, H, IP, w, deg_of):
+    """Column of S(h) at the word w, summed over subsets instead of
+    permutations: every permutation that puts the set A of letters in
+    front of the h-letter j gives the same term, so the n!*n terms of
+    `symmetrized_homotopy` collapse to n*2^(n-1) terms (A, j), weighted
+    by |A|!(n-1-|A|)!/n!.  H and IP map a letter to a sparse vector."""
+    n = len(w)
+    out = {}
+    ip_ok = [p for p in range(n) if IP(w[p])]
+    h_ok = [(j, H(w[j])) for j in range(n) if H(w[j])]
+    for r in range(n):
+        acc = {}  # the terms with |A| = r share their weight
+        for j, hj in h_ok:
+            for A in combinations([p for p in ip_ok if p != j], r):
+                rest = [p for p in range(n) if p != j and p not in A]
+                sgn = _perm_sign(w, A + (j,) + tuple(rest), deg_of)
+                if sum(deg_of(w[a]) for a in A) % 2:
+                    sgn = -sgn
+                # the rest letters pass unchanged: expand the other factors
+                # only, then sort once more (Koszul signs multiply)
+                tail = tuple(w[p] for p in rest)
+                head = _expand_product(field, [IP(w[a]) for a in A] + [hj], deg_of)
+                for u, c in head.items():
+                    wo, s2 = canon_word(u + tail, deg_of)
+                    if wo is not None:
+                        acc[wo] = acc.get(wo, field.zero) + (c if sgn * s2 == 1 else -c)
+        weight = field.coerce(Fraction(_factorial(r) * _factorial(n - 1 - r), _factorial(n)))
+        for wo, c in acc.items():
+            out[wo] = out.get(wo, field.zero) + c * weight
+    return {wo: c for wo, c in out.items() if not field.is_zero(c)}
 
 
 def _factorial(n):

@@ -64,6 +64,17 @@ def F(*a):
     return Fraction(*a)
 
 
+def _entries(family):
+    return {k: f.entries for k, f in family.items() if not f.is_zero()}
+
+
+def _assert_same_transfer(a, b):
+    """Equal operations, inclusion and projection entries, exactly."""
+    assert _entries(a.small.sops) == _entries(b.small.sops)
+    assert _entries(a.inclusion.components) == _entries(b.inclusion.components)
+    assert _entries(a.projection.components) == _entries(b.projection.components)
+
+
 def _budget(t0, limit):
     assert time.perf_counter() - t0 < limit, "over the %gs budget" % limit
 
@@ -112,7 +123,8 @@ def test_c03_transfer_valid_to_arity_4_and_tree_recursion_agrees():
         assert comp.is_identity()
         cc = ChainComplex(alg.space, alg.twisted_differential({}), check=False)
         ctx = splitting_to_retract(standard_splitting(cc))
-        hp = homotopy_transfer(alg, ctx, arity_out=3)
+        hp = homotopy_transfer(alg, ctx, arity_out=4)
+        _assert_same_transfer(tr, hp)
         tree = dgla_tree_transfer(alg, ctx, arity_out=3)
         for k in (2, 3):
             a = hp.small.sops.get(k)
@@ -152,7 +164,12 @@ def test_c05_minimal_model_of_sum_matches_the_reduced_potential():
     t0 = time.perf_counter()
     z1, z2, z3 = (MultiPoly.variable(3, i, QQ) for i in range(3))
     S = z1 * z1 + z2 * z2 + z3 ** 3 + z3 ** 4
-    tr = minimal_model(dcrit(S).to_linfty(), arity_out=4)
+    big = dcrit(S).to_linfty()
+    tr = minimal_model(big, arity_out=4)
+    cc = ChainComplex(big.space, big.twisted_differential({}), check=False)
+    _assert_same_transfer(
+        tr, homotopy_transfer(big, splitting_to_retract(standard_splitting(cc)), arity_out=4)
+    )
     w = MultiPoly.variable(1, 0, QQ)
     target = dcrit(w ** 3 + w ** 4).to_linfty()
     small = tr.small
@@ -186,7 +203,11 @@ def test_c06_section_decomposition_identities_hold_exactly():
         dec = minimal_decomposition(qs)
         assert dec.exact
         # P I = id, H^1 = id, H^0 = I P, H^t I = I, all exact in t
-        assert dec.verify()
+        checks = dec.verify()
+        assert set(checks) == {"inclusion compat", "projection compat", "P I = id",
+                               "H_1 = id", "H_0 = I P", "H_t I = I"}
+        for name, ok in checks.items():
+            assert ok is True, name
     _budget(t0, 10.0)
 
 

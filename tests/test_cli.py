@@ -4,10 +4,13 @@ import random
 
 import pytest
 
-from homotopylie import serialize
+from homotopylie import QQ, serialize
 from homotopylie.cli import main
 from homotopylie.generators import nilpotent_tower_with_corruption
-from homotopylie.bv import OrientationCocycle
+from homotopylie.bv import OrientationCocycle, canonical_dcrit_bv
+from homotopylie.mc import to_float_algebra
+from homotopylie.polynomial import MultiPoly
+from homotopylie.qs import dcrit
 from fractions import Fraction
 
 
@@ -18,6 +21,12 @@ def _run(tmp_path, *argv):
 def _read(path):
     with open(path) as fh:
         return fh.read()
+
+
+def _write(path, kind, payload):
+    with open(path, "w") as fh:
+        fh.write(serialize.dumps(kind, payload))
+    return path
 
 
 def test_gen_examples_and_check(tmp_path):
@@ -101,3 +110,58 @@ def test_malformed_input_is_structural_error(tmp_path):
     with open(q, "w") as fh:
         fh.write(serialize.dumps("polynomial", {"nvars": 1, "terms": [], "scalar": "rational"}))
     assert main(["bv-verify", q]) == 2
+
+
+def test_solve_mc_writes_only_converged_solves(tmp_path):
+    # Gauss-Newton stalls from one of the ten seeds of --seed 0 here
+    z1, z2, z3 = (MultiPoly.variable(3, i, QQ) for i in range(3))
+    S = (z1 * z1 * QQ.coerce(2) - z1 * z2 + z2 * z2 * QQ.coerce(3)
+         + z1 * z3 * z3 * QQ.coerce(3) - z3 ** 3 + z2 ** 3 * z3 * QQ.coerce(3))
+    alg = dcrit(S).to_linfty()
+    path = _write(str(tmp_path / "t.json"), "linfty_algebra", serialize.algebra_payload(alg))
+    out = str(tmp_path / "mc")
+    assert main(["solve-mc", path, "--seed", "0", "--n-seeds", "10", "--out", out]) == 0
+    rep = json.loads(_read(os.path.join(out, "mc_solutions.json")))["payload"]
+    assert rep["failed_seeds"] >= 1
+    assert len(rep["solutions"]) + rep["failed_seeds"] == 10
+    algf = to_float_algebra(alg)
+    for sol in rep["solutions"]:
+        x = {int(i): complex(re, im) for i, (re, im) in sol["vector"].items()}
+        assert algf.mc_residual(x) <= rep["tolerance"]
+    # no seed at all: nothing converges, and the command says so
+    assert main(["solve-mc", path, "--n-seeds", "0", "--out", out]) == 1
+
+
+def test_orient_negative_fibers_give_imaginary_section(tmp_path):
+    oc = OrientationCocycle(2, [Fraction(-4), Fraction(-9)], {(0, 1): Fraction(3, 2)})
+    path = _write(str(tmp_path / "c.json"), "orientation_cocycle", serialize.cocycle_payload(oc))
+    assert main(["orient", path, "--out", str(tmp_path / "o")]) == 0
+    rep = json.loads(_read(str(tmp_path / "o" / "orientation.json")))["payload"]
+    assert rep["orientable"] is True
+    assert rep["section"] == [["0", "2"], ["0", "3"]]  # (2i, 3i)
+
+
+def test_bv_verify_rejection_carries_a_json_witness(tmp_path):
+    x1, x2 = (MultiPoly.variable(2, i, QQ) for i in range(2))
+    data = canonical_dcrit_bv(x1 ** 3 - x1 * x2)
+    data.sigma[0][1] = data.sigma[0][1] + x1
+    path = _write(str(tmp_path / "bv.json"), "bv_data", serialize.bv_payload(data))
+    assert main(["bv-verify", path, "--out", str(tmp_path / "b")]) == 1
+    rep = json.loads(_read(str(tmp_path / "b" / "bv_report.json")))["payload"]
+    assert rep["ok"] is False and rep["checks"]["triangle"] is False
+    row, defect = rep["witness"]["detail"]
+    assert rep["witness"]["class"] == "triangle" and row == 1
+    assert serialize.poly_from_payload(defect, QQ).terms
+
+
+def test_qs_minimal_model_exits_1_when_an_identity_fails(tmp_path, monkeypatch):
+    from homotopylie import qs
+
+    ex = str(tmp_path / "ex")
+    assert main(["gen-examples", "--out", ex, "--seed", "3"]) == 0
+    section = os.path.join(ex, "section_0.json")
+    assert main(["qs-minimal-model", section, "--out", str(tmp_path / "good")]) == 0
+    monkeypatch.setattr(qs.QsMorphism, "is_identity", lambda self: False)
+    assert main(["qs-minimal-model", section, "--out", str(tmp_path / "bad")]) == 1
+    rep = json.loads(_read(str(tmp_path / "bad" / "qs_minimal.json")))["payload"]
+    assert rep["identities_hold"]["P I = id"] is False

@@ -38,5 +38,6 @@ def test_random_adaptable_sections_decompose():
         assert qs.nvars <= 4
         dec = minimal_decomposition(qs)
         assert dec.exact
-        assert dec.verify()
+        checks = dec.verify()
+        assert all(checks.values()), checks
         assert dec.minimal.is_minimal()

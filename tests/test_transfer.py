@@ -2,15 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homotopylie import GradedSpace, GradedMap, ChainComplex, LInftyAlgebra, MultiLinearOp
 from homotopylie.scalars import QQ
 from homotopylie import linalg
+from homotopylie import words as W
 from homotopylie.generators import (
     random_complex,
     block_perturbed_context,
     two_degree_dgla,
+    lambda_dgla,
 )
+from homotopylie.polynomial import MultiPoly
+from homotopylie.qs import dcrit
 from homotopylie.transfer import (
     RetractContext,
     Splitting,
@@ -22,12 +27,40 @@ from homotopylie.transfer import (
     minimal_model,
     dgla_tree_transfer,
     strong_decomposition,
+    tree_transfer,
 )
 
 
 def F(*a):
     return Fraction(*a)
 
+
+def _retract(alg):
+    cc = ChainComplex(alg.space, alg.twisted_differential({}), check=False)
+    return splitting_to_retract(standard_splitting(cc))
+
+
+def _entries(family):
+    return {k: f.entries for k, f in family.items() if not f.is_zero()}
+
+
+def assert_same_transfer(a, b):
+    """Two TransferResults with the same structure constants, exactly."""
+    assert a.small.space.dims == b.small.space.dims
+    assert _entries(a.small.sops) == _entries(b.small.sops), "operations differ"
+    assert _entries(a.inclusion.components) == _entries(b.inclusion.components), "inclusion differs"
+    assert _entries(a.projection.components) == _entries(b.projection.components), "projection differs"
+
+
+def _potential(nvars, terms):
+    """sum of c * z^e over {exponent tuple: c}."""
+    S = MultiPoly.zero(nvars, QQ)
+    for e, c in terms.items():
+        m = MultiPoly.constant(nvars, QQ.coerce(c), QQ)
+        for i, a in enumerate(e):
+            m = m * MultiPoly.variable(nvars, i, QQ) ** a
+        S = S + m
+    return S
 
 
 
@@ -176,3 +209,118 @@ def test_strong_decomposition():
                 val = phi.components[1].eval_basis((dec.source.space.index(deg, t),))
                 cols.append([val.get(alg.space.index(deg, r), F(0)) for r in range(n)])
             assert linalg.rank(QQ, linalg.transpose(cols)) == n
+
+
+# ------------------------------------------- tree engine against HPL
+
+def test_minimal_model_matches_hpl_on_benchmark_shapes():
+    """minimal_model against the HPL oracle on the same retract, for each
+    input shape of the exact_transfer benchmark workload: dgla towers at
+    arity 4 and 5, the coupled lambda dgla, and dCrit towers of native
+    arity 3 and 4."""
+    reduced = _potential(3, {(2, 0, 0): 3, (0, 2, 0): -2, (0, 0, 3): 2, (0, 0, 4): -1, (0, 0, 5): 3})
+    four = _potential(4, {
+        (2, 0, 0, 0): 2, (0, 2, 0, 0): -1, (0, 0, 3, 0): 3, (0, 0, 0, 3): -2, (1, 0, 1, 1): 1,
+        (0, 1, 2, 0): -3, (0, 0, 2, 2): 2, (0, 0, 0, 4): 1, (2, 0, 2, 0): -1,
+    })
+    cases = [
+        (two_degree_dgla(random.Random(1), n1=6), 4),
+        (two_degree_dgla(random.Random(2), n1=4), 5),
+        (lambda_dgla(coupled=True), 3),
+        (dcrit(reduced).to_linfty(), 5),
+        (dcrit(four).to_linfty(), 4),
+    ]
+    for alg, arity in cases:
+        hp = homotopy_transfer(alg, _retract(alg), arity_out=arity)
+        assert_same_transfer(minimal_model(alg, arity_out=arity), hp)
+
+
+def _gauge_retract(alg):
+    """A second retract of the same complex: the splitting of the gauge
+    eta = 2 h, whose homotopy differs from the elimination one."""
+    cc = ChainComplex(alg.space, alg.twisted_differential({}), check=False)
+    eta = standard_splitting(cc).h.scale(F(2))
+    return splitting_to_retract(Gauge(cc.space, cc.d, eta).splitting())
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6), n1=st.integers(2, 4), n2=st.integers(1, 3),
+       gauge=st.booleans())
+def test_tree_engine_equals_hpl_on_random_dglas(seed, n1, n2, gauge):
+    alg = two_degree_dgla(random.Random(seed), n1=n1, n2=n2)
+    ctx = _gauge_retract(alg) if gauge else _retract(alg)
+    assert_same_transfer(tree_transfer(alg, ctx, 4), homotopy_transfer(alg, ctx, 4))
+
+
+# monomials of dCrit potentials in three variables: a quadratic part, and
+# cubic to quintic terms, so that the towers have native arity 3 or 4
+_MONOMIALS = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 2), (0, 0, 3), (1, 0, 2), (0, 1, 2),
+              (1, 1, 1), (0, 0, 4), (2, 0, 2), (0, 1, 3), (0, 0, 5)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(coeffs=st.lists(st.integers(-3, 3), min_size=len(_MONOMIALS), max_size=len(_MONOMIALS)),
+       quartic=st.integers(1, 3), gauge=st.booleans())
+def test_tree_engine_equals_hpl_on_dcrit_towers(coeffs, quartic, gauge):
+    terms = dict(zip(_MONOMIALS, coeffs))
+    terms[(0, 0, 4)] = quartic
+    alg = dcrit(_potential(3, terms)).to_linfty()
+    assert alg.max_arity >= 3
+    ctx = _gauge_retract(alg) if gauge else _retract(alg)
+    assert_same_transfer(tree_transfer(alg, ctx, 4), homotopy_transfer(alg, ctx, 4))
+
+
+def _random_tower(rng, density=0.5):
+    """Random symmetric q_2 and q_3 over a random complex whose letters on
+    V[1] have both parities.  The operations satisfy no Jacobi identity:
+    the perturbation series and the tree recursions are identities of
+    formal sums, valid for any family q_k.  In the two-degree dglas and the
+    dCrit towers above, every word with a nonzero I is made of even
+    letters, so no Koszul sign of the tree recursion is -1 there."""
+    cc = random_complex(rng, degs=(-1, 0, 1, 2))
+    Vs = cc.space.shifted(1)
+    ops = {1: MultiLinearOp(Vs, Vs, 1, 1, "sym")}
+    for x in range(Vs.total_dim):
+        for o, c in cc.d.apply({x: QQ.one}).items():
+            ops[1].add_entry((x,), o, c)
+    for k in (2, 3):
+        ops[k] = MultiLinearOp(Vs, Vs, k, 1, "sym")
+        for w in W.enumerate_words(Vs, k, k):
+            for o in Vs.indices_of_degree(W.word_degree(w, Vs.degree_of) + 1):
+                if rng.random() < density:
+                    ops[k].add_entry(w, o, F(rng.randint(-3, 3)))
+    return LInftyAlgebra(cc.space, ops)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_tree_engine_equals_hpl_on_towers_with_odd_letters(seed):
+    alg = _random_tower(random.Random(seed))
+    ctx = _retract(alg)
+    assert_same_transfer(tree_transfer(alg, ctx, 4), homotopy_transfer(alg, ctx, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), letters=st.lists(st.integers(0, 10**6), min_size=1, max_size=5))
+def test_subset_form_of_symmetrized_homotopy(seed, letters):
+    """The n*2^(n-1)-term column of S(h) equals the n!*n-term
+    permutation form on words of length up to 5, over a complex with
+    letters of both parities."""
+    cc = random_complex(random.Random(seed), degs=(-1, 0, 1, 2))
+    ctx = splitting_to_retract(standard_splitting(cc))
+    Vs = cc.space.shifted(1)
+    Ws = ctx.small.space.shifted(1)
+    h = ctx.h.shifted(1, Vs, Vs)
+    ip = ctx.i.shifted(1, Ws, Vs) @ ctx.p.shifted(1, Vs, Ws)
+
+    def H(x):
+        return h.apply({x: QQ.one})
+
+    def IP(x):
+        return ip.apply({x: QQ.one})
+
+    word, _ = W.canon_word(tuple(x % Vs.total_dim for x in letters), Vs.degree_of)
+    if word is None:
+        return
+    perm = W.symmetrized_homotopy(QQ, H, IP, [word], Vs.degree_of)
+    assert W.symmetrized_homotopy_column(QQ, H, IP, word, Vs.degree_of) == perm.column(word)
