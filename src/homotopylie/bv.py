@@ -7,6 +7,7 @@ nerve graph.
 
 from __future__ import annotations
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -16,6 +17,15 @@ from .scalars import QQ, GaussianRational
 
 
 # ------------------------------------------- polynomial views of a tower
+
+def _monomial(word, col, n):
+    """The exponent vector alpha of a word over the coordinates `col`, and
+    its automorphism factor alpha! = prod_i alpha_i!."""
+    e = [0] * n
+    for w in word:
+        e[col[w]] += 1
+    return tuple(e), math.prod(map(math.factorial, e))
+
 
 def mc_polynomials(alg):
     """The Maurer-Cartan function of a tower as polynomials: one
@@ -28,18 +38,11 @@ def mc_polynomials(alg):
     col = {idx: i for i, idx in enumerate(deg1)}
     out = [MultiPoly.zero(n, field) for _ in deg2]
     row = {idx: a for a, idx in enumerate(deg2)}
-    for k, op in alg.sops.items():
+    for op in alg.sops.values():
         for (word, o), c in op.entries.items():
             if o not in row or any(w not in col for w in word):
                 continue
-            e = [0] * n
-            aut = 1
-            for w in word:
-                e[col[w]] += 1
-            for m in e:
-                for t in range(2, m + 1):
-                    aut *= t
-            key = tuple(e)
+            key, aut = _monomial(word, col, n)
             p = out[row[o]]
             p.terms[key] = p.terms.get(key, field.zero) + c / field.coerce(aut)
     for p in out:
@@ -59,25 +62,17 @@ def anchor_polynomials(alg):
     out = {}
     for g in deg0:
         out[g] = [MultiPoly.zero(n, field) for _ in deg1]
-    rowix = {idx: i for i, idx in enumerate(deg1)}
-    for k, op in alg.sops.items():
+    for op in alg.sops.values():
         for (word, o), c in op.entries.items():
-            if o not in rowix:
+            if o not in col:
                 continue
             gs = [w for w in word if w in out]
             rest = [w for w in word if w not in out]
             if len(gs) != 1 or any(w not in col for w in rest):
                 continue
-            g = gs[0]
-            e = [0] * n
-            aut = 1
-            for w in rest:
-                e[col[w]] += 1
-            for m in e:
-                for t in range(2, m + 1):
-                    aut *= t
-            p = out[g][rowix[o]]
-            p.terms[tuple(e)] = p.terms.get(tuple(e), field.zero) + c / field.coerce(aut)
+            key, aut = _monomial(rest, col, n)
+            p = out[gs[0]][col[o]]
+            p.terms[key] = p.terms.get(key, field.zero) + c / field.coerce(aut)
     for g in out:
         for p in out[g]:
             p.terms = {e: c for e, c in p.terms.items() if not field.is_zero(c)}
@@ -361,17 +356,6 @@ def effective_action(split):
         v = MultiPoly.variable(n, i, field)
         quad = quad + (v * v).scale(c)
     return quad + split.residual
-
-
-def check_effective_compat(phi_polys, S_source, S_target, cutoff):
-    """d of (pullback of the target effective action minus the source
-    one) vanishes below the cutoff."""
-    pulled = S_target.substitute(phi_polys)
-    diff = pulled - S_source
-    for g in diff.gradient():
-        if not g.truncate(cutoff - 1).is_zero():
-            return False
-    return True
 
 
 # ------------------------------------------------------ metric structures

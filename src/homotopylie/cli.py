@@ -14,9 +14,8 @@ import sys
 from fractions import Fraction
 
 from . import serialize
-from .scalars import QQ, QQi, FloatComplexField, GaussianRational
+from .scalars import QQ, QQi, FloatComplexField, GaussianRational, get_field
 from .polynomial import MultiPoly
-from .linfty import LInftyAlgebra
 from .transfer import minimal_model
 from .qs import dcrit, minimal_decomposition, morse_thom_split
 from .mc import to_float_algebra, solve_mc, build_nerve
@@ -73,7 +72,7 @@ def _load_algebra(path):
 def _load_poly(path):
     kind, payload = _read_doc(path)
     if kind == "polynomial":
-        field = serialize.field_by_name(payload.get("scalar", "rational"))
+        field = get_field(payload.get("scalar", "rational"))
         return serialize.poly_from_payload(payload, field)
     raise ValueError("expected a polynomial document, got kind %r" % kind)
 
@@ -102,14 +101,18 @@ def cmd_transfer(args):
     return OK
 
 
+def _mc_seeds(alg, args):
+    """args.n_seeds random real starting points on the degree-1
+    coordinates, from args.seed."""
+    idx = alg.space.indices_of_degree(1)
+    rng = random.Random(args.seed)
+    return [{i: complex(rng.uniform(-1, 1), 0.0) for i in idx} for _ in range(args.n_seeds)]
+
+
 def cmd_solve_mc(args):
     alg = to_float_algebra(_load_algebra(args.file), tol=args.tol_mc)
-    sp = alg.space.shifted(1)
-    idx = sp.indices_of_degree(0)
-    rng = random.Random(args.seed)
     sols = []
-    for _ in range(args.n_seeds):
-        seed = {i: complex(rng.uniform(-1, 1), 0.0) for i in idx}
+    for seed in _mc_seeds(alg, args):
         sol = solve_mc(alg, seed, tol=args.tol_mc)
         if sol.converged:
             sols.append(
@@ -130,13 +133,7 @@ def cmd_solve_mc(args):
 
 def cmd_nerve(args):
     alg = to_float_algebra(_load_algebra(args.file), tol=args.tol_mc)
-    sp = alg.space.shifted(1)
-    idx = sp.indices_of_degree(0)
-    rng = random.Random(args.seed)
-    seeds = [
-        {i: complex(rng.uniform(-1, 1), 0.0) for i in idx} for _ in range(args.n_seeds)
-    ]
-    graph = build_nerve(alg, seeds, tol=args.tol_mc, flow_step=args.step)
+    graph = build_nerve(alg, _mc_seeds(alg, args), tol=args.tol_mc, flow_step=args.step)
     if args.format == "text":
         _emit(args, "nerve.txt", graph.to_graph_text() + "\n")
     else:
@@ -169,7 +166,7 @@ def cmd_morse_split(args):
 
 
 def cmd_qs_minimal_model(args):
-    kind, payload = _read_doc(args.file, "qs_section")
+    _, payload = _read_doc(args.file, "qs_section")
     qs = serialize.section_from_payload(payload)
     dec = minimal_decomposition(qs)
     checks = dec.verify()
@@ -186,7 +183,7 @@ def cmd_qs_minimal_model(args):
 
 
 def cmd_bv_verify(args):
-    kind, payload = _read_doc(args.file, "bv_data")
+    _, payload = _read_doc(args.file, "bv_data")
     bv = serialize.bv_from_payload(payload)
     rep = validate_bv(bv)
     out = {"ok": rep.ok, "checks": rep.checks}
@@ -197,7 +194,7 @@ def cmd_bv_verify(args):
 
 
 def cmd_orient(args):
-    kind, payload = _read_doc(args.file, "orientation_cocycle")
+    _, payload = _read_doc(args.file, "orientation_cocycle")
     oc = serialize.cocycle_from_payload(payload)
     ok, data = check_bv_orientable(oc)
     if ok:
@@ -216,6 +213,9 @@ def cmd_orient(args):
 
 
 def cmd_gen_examples(args):
+    if not args.out:
+        # several documents on stdout would not parse as one
+        raise ValueError("gen-examples writes several files: give --out DIR")
     rng = random.Random(args.seed)
     docs = {}
     for t in range(3):
@@ -253,11 +253,8 @@ def build_parser():
         description="exact homotopy Lie algebra computations",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scalar", choices=["rational", "rational-complex", "float"],
-                        default="rational")
     common.add_argument("--out", metavar="DIR", default=None,
                         help="write outputs into DIR instead of stdout")
-    common.add_argument("--format", choices=["json", "text"], default="json")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **extra):
@@ -285,7 +282,8 @@ def build_parser():
             tol_mc=dict(type=float, default=1e-10),
             seed=dict(type=int, default=0),
             n_seeds=dict(type=int, default=20),
-            step=dict(type=float, default=0.02))
+            step=dict(type=float, default=0.02),
+            format=dict(choices=["json", "text"], default="json"))
     p.add_argument("file")
 
     p = add("dcrit", cmd_dcrit)
@@ -315,7 +313,7 @@ def main(argv=None):
         return BAD_INPUT if ex.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (OSError, ValueError, KeyError, AssertionError) as ex:
+    except (OSError, ValueError, KeyError) as ex:
         sys.stderr.write("error: %s\n" % ex)
         return BAD_INPUT
 

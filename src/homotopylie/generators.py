@@ -16,7 +16,7 @@ from .multilinear import MultiLinearOp
 from .linfty import LInftyAlgebra
 from .polynomial import MultiPoly
 from .transfer import Splitting, standard_splitting, splitting_to_retract
-from .qs import QsSpace
+from .qs import QsSpace, taylor_ops
 
 
 def F(*a):
@@ -435,13 +435,10 @@ def lambda_dgla(coupled=False):
     for i in range(n):
         for j in range(i + 1, n):
             (wa, ma), (wb, mb) = gen_of(i), gen_of(j)
-            tgt_w, sign, scale = None, 0, 1
             if coupled and {tuple(wa), tuple(wb)} == {(1,), ("e1",)}:
+                # antisymmetry in odd-odd pairs is symmetric after signs,
+                # so both orders of (theta1, e1) take sign +1
                 tgt_w, sign = ("e2",), 1
-                if tuple(wa) == ("e1",):
-                    # antisymmetry in odd-odd pairs is symmetric after signs;
-                    # the bracket formula is written for (theta1, e1) order
-                    sign = 1
             else:
                 tgt_w, sign = wmul(wa, wb)
             if sign == 0 or tgt_w is None:
@@ -497,20 +494,8 @@ def brst_circle(rho=((0, -1), (1, 0))):
     lam = S.gradient()
     V = GradedSpace({0: 1, 1: 2, 2: 2}, field=QQ)
     sp = V.shifted(1)
-    sops = {}
     # section part: Taylor coefficients on the degree-1 coordinates
-    for a, p in enumerate(lam):
-        out = V.index(2, a)
-        for e, c in p.terms.items():
-            k = sum(e)
-            word = []
-            alpha_fact = 1
-            for i, m in enumerate(e):
-                word.extend([V.index(1, i)] * m)
-                for t in range(2, m + 1):
-                    alpha_fact *= t
-            op = sops.setdefault(k, MultiLinearOp(sp, sp, k, 1, "sym"))
-            op.add_entry(tuple(word), out, c * QQ.coerce(alpha_fact))
+    sops = taylor_ops(lam, V)
     # gauge generator: rotation on the x's, minus transpose on the fibers
     g = V.index(0, 0)
     q2 = sops.setdefault(2, MultiLinearOp(sp, sp, 2, 1, "sym"))

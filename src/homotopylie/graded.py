@@ -60,9 +60,6 @@ class GradedSpace:
         o = self._offset[d]
         return list(range(o, o + self.dims[d]))
 
-    def basis_vector(self, idx):
-        return {idx: self.field.one}
-
     def shifted(self, k):
         """Degree shift: (self[k])^d = self^{d+k}.  Generator order and
         global indices are unchanged."""
@@ -83,33 +80,8 @@ class GradedSpace:
 
 # ---------------------------------------------------------------- vectors
 
-def vec_add(u, v):
-    w = dict(u)
-    for k, c in v.items():
-        w[k] = w.get(k, 0) + c if k in w else c
-    return w
-
-
-def vec_sub(field, u, v):
-    w = dict(u)
-    for k, c in v.items():
-        w[k] = (w[k] - c) if k in w else -c
-    return w
-
-
-def vec_scale(c, v):
-    return {k: c * x for k, x in v.items()}
-
-
 def vec_clean(field, v):
     return {k: c for k, c in v.items() if not field.is_zero(c)}
-
-
-def vec_eq(field, u, v):
-    for k in set(u) | set(v):
-        if not field.eq(u.get(k, field.zero), v.get(k, field.zero)):
-            return False
-    return True
 
 
 def vec_norm(field, v):
@@ -120,14 +92,6 @@ def vec_norm(field, v):
         if a > m:
             m = a
     return m
-
-
-def vec_to_dense(field, v, indices):
-    return [v.get(i, field.zero) for i in indices]
-
-
-def dense_to_vec(field, xs, indices):
-    return {i: c for i, c in zip(indices, xs) if not field.is_zero(c)}
 
 
 # ------------------------------------------------------------------ maps

@@ -18,14 +18,6 @@ def identity(field, n):
     return M
 
 
-def mat_from_cols(field, cols, m):
-    M = zeros(field, m, len(cols))
-    for j, c in enumerate(cols):
-        for i in range(m):
-            M[i][j] = c[i]
-    return M
-
-
 def transpose(M):
     if not M:
         return []
@@ -77,6 +69,23 @@ def is_zero_matrix(field, A):
     return all(field.is_zero(a) for row in A for a in row)
 
 
+def _pivot_row(field, M, c, start):
+    """The row (from `start` on) to pivot on in column c, or None: the
+    first nonzero entry in exact modes, the largest entry above the
+    tolerance in float mode."""
+    if field.exact:
+        for i in range(start, len(M)):
+            if not field.is_zero(M[i][c]):
+                return i
+        return None
+    mag, best = field.tol, None
+    for i in range(start, len(M)):
+        a = field.mag(M[i][c])
+        if a > mag:
+            mag, best = a, i
+    return best
+
+
 def rref(field, A):
     """Reduced row echelon form.  Returns (R, pivot_columns)."""
     R = [list(row) for row in A]
@@ -87,19 +96,7 @@ def rref(field, A):
     for c in range(n):
         if r >= m:
             break
-        # pick pivot row
-        best = None
-        if field.exact:
-            for i in range(r, m):
-                if not field.is_zero(R[i][c]):
-                    best = i
-                    break
-        else:
-            mag, best = field.tol, None
-            for i in range(r, m):
-                a = field.mag(R[i][c])
-                if a > mag:
-                    mag, best = a, i
+        best = _pivot_row(field, R, c, r)
         if best is None:
             continue
         R[r], R[best] = R[best], R[r]
@@ -181,18 +178,7 @@ def det(field, A):
     sign = field.one
     d = field.one
     for c in range(n):
-        best = None
-        if field.exact:
-            for i in range(c, n):
-                if not field.is_zero(M[i][c]):
-                    best = i
-                    break
-        else:
-            mag, best = field.tol, None
-            for i in range(c, n):
-                a = field.mag(M[i][c])
-                if a > mag:
-                    mag, best = a, i
+        best = _pivot_row(field, M, c, c)
         if best is None:
             return field.zero
         if best != c:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import GradedMap, ChainComplex, vec_clean, vec_add, vec_scale
+from .graded import GradedMap, ChainComplex, vec_clean
 from .multilinear import MultiLinearOp, to_shifted, to_unshifted
 from . import words as W
 
@@ -89,14 +89,7 @@ class LInftyAlgebra:
     def mc_function(self, x):
         """F(x) = sum_k 1/k! l_k(x,...,x) for x of degree 1."""
         self._check_shifted_zero(x)
-        field = self.field
-        out = {}
-        for k, op in self.sops.items():
-            c = field.coerce(Fraction(1, W._factorial(k)))
-            val = op.evaluate([x] * k)
-            for o, v in val.items():
-                out[o] = out.get(o, field.zero) + c * v
-        return vec_clean(field, out)
+        return taylor_sum(self.field, self.sops, x)
 
     def mc_residual(self, x):
         from .graded import vec_norm
@@ -107,21 +100,8 @@ class LInftyAlgebra:
         """Operations of the algebra twisted by a degree-1 element b:
         l_k^b(...) = sum_j 1/j! l_{j+k}(b,...,b, ...)."""
         self._check_shifted_zero(b)
-        field = self.field
         sp = self.shifted_space
-        out = {}
-        for k in range(1, self.max_arity + 1):
-            acc = MultiLinearOp(sp, sp, k, 1, "sym")
-            for m, op in self.sops.items():
-                j = m - k
-                if j < 0:
-                    continue
-                c = field.coerce(Fraction(1, W._factorial(j)))
-                # b sits in shifted degree 0, so insertion needs no signs
-                acc = acc + _partial_insert(op, b, j).scale(c)
-            if not acc.is_zero():
-                out[k] = acc
-        return out
+        return twist_family(self.sops, b, sp, sp, 1)
 
     def twist(self, b):
         """Twist by b; returns a Twist (curved unless b is Maurer-Cartan)."""
@@ -206,6 +186,36 @@ class LInftyAlgebra:
         return LInftyAlgebra(self.space, out)
 
 
+def taylor_sum(field, ops, x, head=()):
+    """sum_k 1/(k - |head|)! op_k(head..., x, ..., x) over a family
+    {k: op_k} of symmetric operations."""
+    out = {}
+    for k, op in ops.items():
+        j = k - len(head)
+        c = field.coerce(Fraction(1, W._factorial(j)))
+        for o, v in op.evaluate(list(head) + [x] * j).items():
+            out[o] = out.get(o, field.zero) + c * v
+    return vec_clean(field, out)
+
+
+def twist_family(ops, b, source, target, degree):
+    """The family twisted by b, of shifted degree 0:
+    {k: sum_j 1/j! op_{k+j}(b, ..., b, -)}, k >= 1, zero ones dropped."""
+    out = {}
+    for k in range(1, max(ops, default=0) + 1):
+        acc = MultiLinearOp(source, target, k, degree, "sym")
+        for m, op in ops.items():
+            j = m - k
+            if j < 0:
+                continue
+            c = source.field.coerce(Fraction(1, W._factorial(j)))
+            # b sits in shifted degree 0, so insertion needs no signs
+            acc = acc + _partial_insert(op, b, j).scale(c)
+        if not acc.is_zero():
+            out[k] = acc
+    return out
+
+
 def _partial_insert(op, b, j):
     """New op of arity op.arity - j: first j slots filled with b (shifted
     degree 0, no signs)."""
@@ -265,28 +275,11 @@ class LInftyMorphism:
 
     def apply_point(self, mu):
         """Push a degree-1 element through: sum_k 1/k! f_k(mu,...,mu)."""
-        field = self.field
-        out = {}
-        for k, f in self.components.items():
-            c = field.coerce(Fraction(1, W._factorial(k)))
-            for o, v in f.evaluate([mu] * k).items():
-                out[o] = out.get(o, field.zero) + c * v
-        return vec_clean(field, out)
+        return taylor_sum(self.field, self.components, mu)
 
     def tangent_at(self, mu):
         """Linearization at mu: x -> sum_j 1/j! f_{1+j}(x, mu, ..., mu)."""
-        field = self.field
-
-        def lin(x):
-            out = {}
-            for k, f in self.components.items():
-                j = k - 1
-                c = field.coerce(Fraction(1, W._factorial(j)))
-                for o, v in f.evaluate([x] + [mu] * j).items():
-                    out[o] = out.get(o, field.zero) + c * v
-            return vec_clean(field, out)
-
-        return lin
+        return lambda x: taylor_sum(self.field, self.components, mu, head=(x,))
 
     def lift(self, max_len):
         sp = self.source.shifted_space

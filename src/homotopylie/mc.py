@@ -8,13 +8,11 @@ Flows always run in float mode; exact algebras are converted first.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import words as W
 from .scalars import FloatComplexField
 from .graded import GradedSpace, vec_clean
 from .multilinear import MultiLinearOp
-from .linfty import LInftyAlgebra, LInftyMorphism, _partial_insert
+from .linfty import LInftyAlgebra, LInftyMorphism, taylor_sum, twist_family
 
 DEFAULT_STEP = 1e-3
 DEDUP_RADIUS = 1e-6
@@ -26,29 +24,25 @@ def to_float_algebra(alg, tol=1e-10):
     """The same structure constants over approximate complex scalars."""
     if not alg.field.exact:
         return alg
-    field = FloatComplexField(tol)
-    space = GradedSpace(alg.space.dims, alg.space.labels, field=field)
+    space = GradedSpace(alg.space.dims, alg.space.labels, field=FloatComplexField(tol))
     sp = space.shifted(1)
-    sops = {}
-    for k, op in alg.sops.items():
-        new = MultiLinearOp(sp, sp, k, 1, "sym")
-        for (win, o), c in op.entries.items():
-            new.entries[(win, o)] = field.coerce(c)
-        sops[k] = new
-    return LInftyAlgebra(space, sops)
+    return LInftyAlgebra(space, {k: _float_op(op, sp, sp) for k, op in alg.sops.items()})
 
 
 def to_float_morphism(F, src=None, tgt=None, tol=1e-10):
     src = src if src is not None else to_float_algebra(F.source, tol)
     tgt = tgt if tgt is not None else to_float_algebra(F.target, tol)
-    field = src.field
-    comps = {}
-    for k, f in F.components.items():
-        new = MultiLinearOp(src.shifted_space, tgt.shifted_space, k, 0, "sym")
-        for (win, o), c in f.entries.items():
-            new.entries[(win, o)] = field.coerce(c)
-        comps[k] = new
+    comps = {
+        k: _float_op(f, src.shifted_space, tgt.shifted_space) for k, f in F.components.items()
+    }
     return LInftyMorphism(src, tgt, comps)
+
+
+def _float_op(op, source, target):
+    """op with its entries coerced to the float field of `source`."""
+    new = MultiLinearOp(source, target, op.arity, op.degree, op.symmetry)
+    new.entries = {key: source.field.coerce(c) for key, c in op.entries.items()}
+    return new
 
 
 def float_vector(field, x):
@@ -164,17 +158,6 @@ class MCElement:
         return "MCElement(residual=%.2e, converged=%r)" % (self.residual, self.converged)
 
 
-def _mc_derivative(alg, x, v):
-    """d/dt F(x + t v): sum_k 1/(k-1)! l_k(v, x, ..., x)."""
-    field = alg.field
-    out = {}
-    for k, op in alg.sops.items():
-        c = field.coerce(Fraction(1, W._factorial(k - 1)))
-        for o, val in op.evaluate([v] + [x] * (k - 1)).items():
-            out[o] = out.get(o, field.zero) + c * val
-    return out
-
-
 def solve_mc(alg, seed, tol=1e-10, max_iter=50, radius=None):
     """Gauss-Newton iteration on the Maurer-Cartan function, float mode."""
     import numpy as np
@@ -255,13 +238,7 @@ class GaugePath:
 
 def _anchor_apply(alg, gamma, eta):
     """anchor(gamma)(eta) = sum_k 1/(k-1)! l_k(eta, gamma, ..., gamma)."""
-    field = alg.field
-    out = {}
-    for k, op in alg.sops.items():
-        c = field.coerce(Fraction(1, W._factorial(k - 1)))
-        for o, val in op.evaluate([eta] + [gamma] * (k - 1)).items():
-            out[o] = out.get(o, field.zero) + c * val
-    return vec_clean(field, out)
+    return taylor_sum(alg.field, alg.sops, gamma, head=(eta,))
 
 
 def gauge_flow(alg, mu, eta, step=DEFAULT_STEP, t_end=1.0, radius=None, n_samples=11):
@@ -455,20 +432,9 @@ def twist_morphism(F, b, flat_check=False):
     """Morphism between twisted algebras: components
     f_k^b = sum_j 1/j! f_{k+j}(b, ..., b, -), from the twist at b to the
     twist at the pushforward of b."""
-    field = F.field
     src = F.source.twist(b).algebra(check_flat=flat_check)
     tgt = F.target.twist(F.apply_point(b)).algebra(check_flat=flat_check)
-    comps = {}
-    for k in range(1, F.max_arity + 1):
-        acc = MultiLinearOp(src.shifted_space, tgt.shifted_space, k, 0, "sym")
-        for m, f in F.components.items():
-            j = m - k
-            if j < 0:
-                continue
-            c = field.coerce(Fraction(1, W._factorial(j)))
-            acc = acc + _partial_insert(f, b, j).scale(c)
-        if not acc.is_zero():
-            comps[k] = acc
+    comps = twist_family(F.components, b, src.shifted_space, tgt.shifted_space, 0)
     return LInftyMorphism(src, tgt, comps)
 
 
@@ -498,7 +464,7 @@ def homotopy_gauge_action(model, g, mu, max_arity=None):
     """(g * mu, Phi): the transported point P(g . I(mu)) and the morphism
     of twisted algebras obtained by conjugating the retract with the
     group action."""
-    big, field = model.big, model.big.field
+    big = model.big
     Imu = model.incl.apply_point(mu)
     gImu = model.group_action(g, Imu)
     star = model.proj.apply_point(gImu)

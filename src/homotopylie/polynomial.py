@@ -6,8 +6,6 @@ serialization use graded lexicographic term order so output is canonical.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class MultiPoly:
     __slots__ = ("nvars", "field", "terms")

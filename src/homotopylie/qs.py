@@ -5,6 +5,7 @@ decompositions and Morse-type quadratic splittings.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -66,27 +67,27 @@ class QsSpace:
         """The structure tower: L^1 = variables, L^2 = bundle, with
         l_k the k-th Taylor coefficients, so that the Maurer-Cartan
         function reproduces the section exactly."""
-        field = self.field
-        V = GradedSpace({1: self.nvars, 2: self.rank}, field=field)
-        sp = V.shifted(1)
-        ops = {}
-        fact = {}
-        for a, p in enumerate(self.section):
-            out = V.index(2, a)
-            for e, c in p.terms.items():
-                k = sum(e)
-                word = []
-                alpha_fact = 1
-                for i, m in enumerate(e):
-                    word.extend([V.index(1, i)] * m)
-                    for t in range(2, m + 1):
-                        alpha_fact *= t
-                op = ops.setdefault(k, MultiLinearOp(sp, sp, k, 1, "sym"))
-                op.add_entry(tuple(word), out, c * field.coerce(alpha_fact))
-        return LInftyAlgebra(V, {k: op for k, op in ops.items() if not op.is_zero()})
+        V = GradedSpace({1: self.nvars, 2: self.rank}, field=self.field)
+        return LInftyAlgebra(V, taylor_ops(self.section, V))
 
     def __repr__(self):
         return "QsSpace(n=%d, r=%d)" % (self.nvars, self.rank)
+
+
+def taylor_ops(section, space):
+    """Taylor encoding of polynomials in the degree-1 coordinates of
+    `space`, polynomial a landing on the a-th degree-2 generator: the
+    shifted operations {k: q_k} with q_k(x^alpha) = alpha! c_alpha, so
+    that the Maurer-Cartan function gives the polynomials back."""
+    sp = space.shifted(1)
+    ops = {}
+    for a, p in enumerate(section):
+        out = space.index(2, a)
+        for e, c in p.terms.items():
+            word = tuple(space.index(1, i) for i, m in enumerate(e) for _ in range(m))
+            op = ops.setdefault(len(word), MultiLinearOp(sp, sp, len(word), 1, "sym"))
+            op.add_entry(word, out, c * space.field.coerce(math.prod(map(math.factorial, e))))
+    return ops
 
 
 def dcrit(S):
@@ -243,7 +244,7 @@ class MinimalDecomposition:
     # morphisms of the decomposition -------------------------------------
 
     def inclusion(self):
-        nv, f = self.adapted.nvars, self.field
+        f = self.field
         base = [MultiPoly.variable(self.n_min, i, f) for i in range(self.n_min)] + [
             MultiPoly.zero(self.n_min, f) for _ in range(self.n_con)
         ]
@@ -401,10 +402,8 @@ def minimal_decomposition(qs, deg_bound=None, strict=True):
     if deg_bound is None:
         deg_bound = max(p.degree() for p in qs.section)
     if r2 == 0:
-        zero_rows = []
-        adapted = qs
         return MinimalDecomposition(qs, qs, qs, linalg.identity(field, n),
-                                    None, zero_rows, n, 0, exact=True)
+                                    None, [], n, 0, exact=True)
 
     # low degree bounds usually suffice, so escalate instead of solving
     # the full-degree linearizer system outright
@@ -429,15 +428,8 @@ def minimal_decomposition(qs, deg_bound=None, strict=True):
             "(found %d of %d fiber coordinates)" % (deg_bound, len(chosen), r2)
         )
 
-    # source change: z = standard coordinates completing ker of the mu rows
-    z_idx = []
-    cur = [list(row) for row in mu_rows]
-    for i in range(n):
-        e = [field.zero] * n
-        e[i] = field.one
-        if linalg.rank(field, cur + [e]) > linalg.rank(field, cur):
-            cur.append(e)
-            z_idx.append(i)
+    # source change: z = standard coordinates completing the mu rows
+    z_idx = linalg.complement_pivots(field, mu_rows, n)
     n1 = n - r2
     assert len(z_idx) == n1
     T = []
@@ -448,21 +440,10 @@ def minimal_decomposition(qs, deg_bound=None, strict=True):
     T.extend(mu_rows)
     Tinv = linalg.inverse(field, T)
 
-    # target rows: constant rows completing theta(0)
+    # target rows: constant rows completing theta(0), whose rows are
+    # independent because theta(0) D is the independent mu rows
     theta0 = [[t.constant_term() for t in theta] for theta, _ in chosen]
-    kappa_idx = linalg.complement_pivots(
-        field, [list(row) for row in theta0], r
-    ) if r2 < r else []
-    # fall back to full scan if needed
-    if len(kappa_idx) != r - r2:
-        kappa_idx = []
-        cur = [list(row) for row in theta0]
-        for a in range(r):
-            e = [field.zero] * r
-            e[a] = field.one
-            if linalg.rank(field, cur + [e]) > linalg.rank(field, cur):
-                cur.append(e)
-                kappa_idx.append(a)
+    kappa_idx = linalg.complement_pivots(field, theta0, r) if r2 < r else []
     assert len(kappa_idx) == r - r2
 
     # substitution x = Tinv . y

@@ -3,14 +3,16 @@ computation results.
 
 Every document is an envelope {"kind": ..., "version": 1, "payload":
 ...}; scalars are printed through the field's exact string form, keys are
-sorted, so serialization is byte-deterministic.
+sorted, so serialization is byte-deterministic.  Loading checks the
+shapes a payload must have (index ranges, arities, degrees, matrix
+sizes) and raises ValueError on a malformed one.
 """
 
 from __future__ import annotations
 
 import json
 
-from .scalars import QQ, QQi, FloatComplexField
+from .scalars import QQ, get_field
 from .graded import GradedSpace, GradedMap
 from .multilinear import MultiLinearOp
 from .linfty import LInftyAlgebra, LInftyMorphism
@@ -18,16 +20,9 @@ from .transfer import RetractContext
 from .polynomial import MultiPoly
 from .qs import QsSpace
 from .bv import BVData, OrientationCocycle
+from .words import word_degree
 
 VERSION = 1
-
-_FIELDS = {"rational": QQ, "rational-complex": QQi}
-
-
-def field_by_name(name, tol=1e-10):
-    if name == "float":
-        return FloatComplexField(tol)
-    return _FIELDS[name]
 
 
 def dumps(kind, payload):
@@ -51,7 +46,10 @@ def space_payload(space):
 
 
 def space_from_payload(payload, field=None):
-    return GradedSpace({int(d): n for d, n in payload["dims"].items()}, field=field)
+    dims = {int(d): n for d, n in payload["dims"].items()}
+    if not all(isinstance(n, int) and n >= 0 for n in dims.values()):
+        raise ValueError("dimensions must be nonnegative integers: %r" % (payload["dims"],))
+    return GradedSpace(dims, field=field)
 
 
 def map_payload(gm):
@@ -103,17 +101,36 @@ def algebra_payload(alg):
     }
 
 
+def op_from_payload(entries, k, source, target, degree, field):
+    """A symmetric arity-k operation from its entries, checked: indices in
+    range, words of length k, output degree = word degree + degree."""
+    k = int(k)
+    if k < 1:
+        raise ValueError("arity %d is not positive" % k)
+    op = MultiLinearOp(source, target, k, degree, "sym")
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], list)):
+            raise ValueError("entry %r is not [word, output, coefficient]" % (entry,))
+        word, out, c = entry
+        if len(word) != k:
+            raise ValueError("arity-%d entry with a word of length %d: %r" % (k, len(word), word))
+        for x, space in [(x, source) for x in word] + [(out, target)]:
+            if not (isinstance(x, int) and 0 <= x < space.total_dim):
+                raise ValueError("index %r out of range in entry %r" % (x, entry))
+        want = word_degree(word, source.degree_of) + degree
+        if target.degree_of(out) != want:
+            raise ValueError("entry %r: output of degree %d, expected %d"
+                             % (entry, target.degree_of(out), want))
+        op.add_entry(tuple(word), out, field.from_json(c))
+    return op
+
+
 def algebra_from_payload(payload, field=None):
-    field = field if field is not None else field_by_name(payload["scalar"])
-    space = GradedSpace({int(d): n for d, n in payload["dims"].items()}, field=field)
+    field = field if field is not None else get_field(payload["scalar"])
+    space = space_from_payload(payload, field)
     sp = space.shifted(1)
-    sops = {}
-    for k, entries in payload["ops"].items():
-        k = int(k)
-        op = MultiLinearOp(sp, sp, k, 1, "sym")
-        for word, out, c in entries:
-            op.add_entry(tuple(word), out, field.from_json(c))
-        sops[k] = op
+    sops = {int(k): op_from_payload(entries, k, sp, sp, 1, field)
+            for k, entries in payload["ops"].items()}
     return LInftyAlgebra(space, sops)
 
 
@@ -127,16 +144,11 @@ def morphism_payload(mor):
 
 
 def morphism_from_payload(payload, field=None):
-    field = field if field is not None else field_by_name(payload["scalar"])
+    field = field if field is not None else get_field(payload["scalar"])
     src = algebra_from_payload(payload["source"], field)
     tgt = algebra_from_payload(payload["target"], field)
-    comps = {}
-    for k, entries in payload["components"].items():
-        k = int(k)
-        f = MultiLinearOp(src.shifted_space, tgt.shifted_space, k, 0, "sym")
-        for word, out, c in entries:
-            f.add_entry(tuple(word), out, field.from_json(c))
-        comps[k] = f
+    comps = {int(k): op_from_payload(entries, k, src.shifted_space, tgt.shifted_space, 0, field)
+             for k, entries in payload["components"].items()}
     return LInftyMorphism(src, tgt, comps)
 
 
@@ -157,7 +169,7 @@ def retract_payload(ctx, mu=None):
 def retract_from_payload(payload, field=None):
     from .graded import ChainComplex
 
-    field = field if field is not None else field_by_name(payload["scalar"])
+    field = field if field is not None else get_field(payload["scalar"])
     d_big = map_from_payload(payload["big_d"], field)
     d_small = map_from_payload(payload["small_d"], field)
     i = map_from_payload(payload["i"], field)
@@ -183,9 +195,16 @@ def poly_payload(p):
     }
 
 
-def poly_from_payload(payload, field):
-    p = MultiPoly(payload["nvars"], field)
+def poly_from_payload(payload, field, nvars=None):
+    """A polynomial, checked to have `nvars` variables when given."""
+    n = payload["nvars"]
+    if nvars is not None and n != nvars:
+        raise ValueError("polynomial in %r variables, expected %d" % (n, nvars))
+    p = MultiPoly(n, field)
     for e, c in payload["terms"]:
+        if not (isinstance(e, list) and len(e) == n
+                and all(isinstance(m, int) and m >= 0 for m in e)):
+            raise ValueError("exponent %r is not %r nonnegative integers" % (e, n))
         p.terms[tuple(e)] = field.from_json(c)
     return p
 
@@ -200,8 +219,11 @@ def section_payload(qs):
 
 
 def section_from_payload(payload, field=None):
-    field = field if field is not None else field_by_name(payload["scalar"])
-    section = [poly_from_payload(sp, field) for sp in payload["section"]]
+    field = field if field is not None else get_field(payload["scalar"])
+    if len(payload["section"]) != payload["rank"]:
+        raise ValueError("section has %d components, rank is %r"
+                         % (len(payload["section"]), payload["rank"]))
+    section = [poly_from_payload(sp, field, payload["nvars"]) for sp in payload["section"]]
     return QsSpace(payload["nvars"], payload["rank"], section, field=field)
 
 
@@ -215,10 +237,14 @@ def bv_payload(bv):
 
 
 def bv_from_payload(payload, field=None):
-    field = field if field is not None else field_by_name(payload["scalar"])
+    field = field if field is not None else get_field(payload["scalar"])
     alg = algebra_from_payload(payload["algebra"], field)
-    S = poly_from_payload(payload["action"], field)
-    sigma = [[poly_from_payload(p, field) for p in row] for row in payload["sigma"]]
+    n, r = alg.space.dim(1), alg.space.dim(2)
+    rows = payload["sigma"]
+    if len(rows) != r or any(len(row) != n for row in rows):
+        raise ValueError("sigma must be %d x %d" % (r, n))
+    S = poly_from_payload(payload["action"], field, n)
+    sigma = [[poly_from_payload(p, field, n) for p in row] for row in rows]
     return BVData(alg, S, sigma)
 
 
@@ -236,6 +262,13 @@ def cocycle_payload(oc, field=QQ):
 
 
 def cocycle_from_payload(payload, field=QQ):
+    n = payload["n_vertices"]
     fibers = [field.from_json(v) for v in payload["fibers"]]
-    transitions = {(i, j): field.from_json(t) for i, j, t in payload["transitions"]}
-    return OrientationCocycle(payload["n_vertices"], fibers, transitions)
+    if len(fibers) != n:
+        raise ValueError("%d fibers for %r vertices" % (len(fibers), n))
+    transitions = {}
+    for i, j, t in payload["transitions"]:
+        if not all(isinstance(v, int) and 0 <= v < n for v in (i, j)):
+            raise ValueError("transition %r, %r between vertices out of range" % (i, j))
+        transitions[(i, j)] = field.from_json(t)
+    return OrientationCocycle(n, fibers, transitions)

@@ -1,14 +1,15 @@
 """Homotopy transfer: retracts, perturbation series, word-space transfer,
 minimal models and strong decompositions.
 
-`tree_transfer` is the production engine: `minimal_model`,
-`strong_decomposition` and the CLI `transfer` all go through it.  It
-sums the perturbation series column by column (tree recursion for the
-operations and the inclusion, memoized recursion for the projection) and
-builds no map of whole word spaces.  `homotopy_transfer` (the
-perturbation lemma `hpl_perturb` on word spaces) and `dgla_tree_transfer`
-are kept as test oracles; the engine's structure constants equal
-`homotopy_transfer`'s exactly.
+`tree_transfer` is the production engine: `minimal_model` and the CLI
+`transfer` go through it, and `strong_decomposition` reuses the transfer
+and the retract that `minimal_model` returns.  It sums the perturbation
+series column by column (tree recursion for the operations and the
+inclusion, memoized recursion for the projection) and builds no map of
+whole word spaces.  `homotopy_transfer` (the perturbation lemma
+`hpl_perturb` on word spaces) and `dgla_tree_transfer` are kept as test
+oracles; the engine's structure constants equal `homotopy_transfer`'s
+exactly.
 
 The perturbation series acts on anything map-like (graded maps or sparse
 word maps); in exact modes the Neumann series must terminate, in float
@@ -16,8 +17,6 @@ mode it is truncated once terms fall below a relative tolerance.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import linalg
 from .graded import GradedSpace, GradedMap, ChainComplex, vec_clean
@@ -105,23 +104,8 @@ def hpl_perturb(field, d_small, d_big, i, p, h, mu, check_square=False):
     i_new = _series(field, i, lambda t: -(hm @ t))
     p_new = _series(field, p, lambda t: -(t @ mh))
     h_new = _series(field, h, lambda t: -(hm @ t))
-    # d_small' = d_small + sum_n p (-mu h)^n mu i
-    u = mu @ i
-    acc = p @ u
-    term = u
-    for _ in range(MAX_NEUMANN_TERMS):
-        term = -(mh @ term)
-        if field.exact:
-            if term.is_zero():
-                break
-        else:
-            if term.norm() <= FLOAT_SERIES_TOL * max(1.0, u.norm()):
-                break
-        acc = acc + (p @ term)
-    else:
-        if field.exact:
-            raise ValueError("perturbation series did not terminate")
-    d_small_new = d_small + acc
+    # d_small' = d_small + p sum_n (-mu h)^n mu i
+    d_small_new = d_small + p @ _series(field, mu @ i, lambda t: -(mh @ t))
     return PerturbedRetract(d_small_new, d_big + mu, i_new, p_new, h_new)
 
 
@@ -298,7 +282,7 @@ def homotopy_transfer(alg, ctx, arity_out=3, max_word_len=None):
     Q1V = (
         W.coderivation(field, {1: q1}, dv, degV) if q1 is not None else W.WordMap(field)
     )
-    dW_op = _map_to_op(ctx.small.d, Ws)
+    dW_op = _columns_op(_columns(ctx.small.d), Ws, Ws, 1)
     Q1W = (
         W.coderivation(field, {1: dW_op}, dw, degW)
         if not ctx.small.d.is_zero()
@@ -324,43 +308,15 @@ def homotopy_transfer(alg, ctx, arity_out=3, max_word_len=None):
 
     pr = hpl_perturb(field, Q1W, Q1V, Si, Sp, Sh, mu)
 
-    sops = _extract_ops(field, pr.d_small, Ws, arity_out)
-    small = LInftyAlgebra(ctx.small.space, sops)
-    inc = LInftyMorphism(small, alg, _extract_morphism(field, pr.i, Ws, Vs, arity_out))
-    prj = LInftyMorphism(alg, small, _extract_morphism(field, pr.p, Vs, Ws, arity_out))
+    small = LInftyAlgebra(ctx.small.space, _extract(pr.d_small, Ws, Ws, 1, arity_out))
+    inc = LInftyMorphism(small, alg, _extract(pr.i, Ws, Vs, 0, arity_out))
+    prj = LInftyMorphism(alg, small, _extract(pr.p, Vs, Ws, 0, arity_out))
     return TransferResult(small, inc, prj, ctx)
 
 
-def _map_to_op(gmap, shifted_space):
-    """Arity-1 graded map (degree +1 on the unshifted space) as a shifted
-    symmetric operation."""
-    field = gmap.field
-    op = MultiLinearOp(shifted_space, shifted_space, 1, 1, "sym")
-    src = gmap.source
-    for idx in range(src.total_dim):
-        v = gmap.apply({idx: field.one})
-        for o, c in v.items():
-            op.add_entry((idx,), o, c)
-    return op
-
-
-def _extract_ops(field, d_word, shifted_space, arity_out):
-    out = {}
-    for (w_in), col in d_word.cols.items():
-        k = len(w_in)
-        if k > arity_out:
-            continue
-        for w_out, c in col.items():
-            if len(w_out) != 1:
-                continue
-            op = out.setdefault(
-                k, MultiLinearOp(shifted_space, shifted_space, k, 1, "sym")
-            )
-            op.add_entry(w_in, w_out[0], c)
-    return {k: op for k, op in out.items() if not op.is_zero()}
-
-
-def _extract_morphism(field, word_map, src_shifted, tgt_shifted, arity_out):
+def _extract(word_map, src_shifted, tgt_shifted, degree, arity_out):
+    """The length-1 outputs of a word map as a family of symmetric
+    operations {k: S^k(src) -> tgt} of the given degree."""
     comps = {}
     for w_in, col in word_map.cols.items():
         k = len(w_in)
@@ -370,7 +326,7 @@ def _extract_morphism(field, word_map, src_shifted, tgt_shifted, arity_out):
             if len(w_out) != 1:
                 continue
             f = comps.setdefault(
-                k, MultiLinearOp(src_shifted, tgt_shifted, k, 0, "sym")
+                k, MultiLinearOp(src_shifted, tgt_shifted, k, degree, "sym")
             )
             f.add_entry(w_in, w_out[0], c)
     return {k: f for k, f in comps.items() if not f.is_zero()}
@@ -436,8 +392,8 @@ def tree_transfer(alg, ctx, arity_out=3):
 
     sops = {}
     if not ctx.small.d.is_zero():
-        sops[1] = _map_to_op(ctx.small.d, Ws)
-    inc = {1: _columns_op(i_c, Ws, Vs)}
+        sops[1] = _columns_op(_columns(ctx.small.d), Ws, Ws, 1)
+    inc = {1: _columns_op(i_c, Ws, Vs, 0)}
     for k in range(2, arity_out + 1):
         op = MultiLinearOp(Ws, Ws, k, 1, "sym")
         f = MultiLinearOp(Ws, Vs, k, 0, "sym")
@@ -477,7 +433,7 @@ def tree_transfer(alg, ctx, arity_out=3):
         projs[w] = out = vec_clean(field, out)
         return out
 
-    prj = {1: _columns_op(p_c, Vs, Ws)}
+    prj = {1: _columns_op(p_c, Vs, Ws, 0)}
     for k in range(2, arity_out + 1):
         f = MultiLinearOp(Vs, Ws, k, 0, "sym")
         for w in W.enumerate_words(Vs, k, k):
@@ -497,9 +453,9 @@ def _columns(gmap):
     return {x: gmap.apply({x: one}) for x in range(gmap.source.total_dim)}
 
 
-def _columns_op(cols, source, target):
-    """Arity-1 degree-0 morphism component from columns."""
-    op = MultiLinearOp(source, target, 1, 0, "sym")
+def _columns_op(cols, source, target, degree):
+    """Arity-1 symmetric operation from columns {x: image of x}."""
+    op = MultiLinearOp(source, target, 1, degree, "sym")
     for x, v in cols.items():
         for o, c in v.items():
             op.add_entry((x,), o, c)
@@ -628,16 +584,15 @@ class StrongDecomposition:
 
 def strong_decomposition(alg, arity_out=3):
     """Split L as (minimal model) x (linear contractible) through an
-    L-infinity isomorphism, solved order by order."""
+    L-infinity isomorphism, solved order by order.  The minimal model and
+    its retract come from `minimal_model`."""
     field = alg.field
-    cc = ChainComplex(alg.space, alg.twisted_differential({}), check=False)
-    split = standard_splitting(cc)
-    ctx = splitting_to_retract(split)
-    tr = tree_transfer(alg, ctx, arity_out=arity_out)
-    H = tr.small.space
+    tr = minimal_model(alg, arity_out=arity_out)
+    ctx = tr.context
+    d, H = ctx.big.d, tr.small.space
 
     # source space: H x N with N = a complement of H carrying d
-    lap = split.laplacian()
+    lap = d @ ctx.h + ctx.h @ d
     Ndims = {}
     Ncols = {}
     for deg in alg.space.degrees():
@@ -682,13 +637,11 @@ def strong_decomposition(alg, arity_out=3):
         # d on N part: d(N_col) lies in V; rewrite in H+N coordinates of S
         for t in range(Ndims.get(deg, 0)):
             src = S.index(deg, nH + t)
-            v = ChainComplex(alg.space, split.d, check=False).d.apply(
-                {alg.space.index(deg, r): c for r, c in enumerate(Ncols[deg][t])}
-            )
+            v = d.apply({alg.space.index(deg, r): c for r, c in enumerate(Ncols[deg][t])})
             coords = _coords_in_f1(field, f1, S, alg.space, v, deg + 1)
             for o, c in coords.items():
                 dS.set_entry(o, src, c)
-    srcops = {1: _map_to_op(dS, S.shifted(1))}
+    srcops = {1: _columns_op(_columns(dS), S.shifted(1), S.shifted(1), 1)}
     # higher operations: the minimal ones, living on the H part
     for k, op in tr.small.sops.items():
         new = MultiLinearOp(S.shifted(1), S.shifted(1), k, 1, "sym")
@@ -723,9 +676,6 @@ def _coords_in_f1(field, f1, S, V, v, deg):
 def _solve_morphism_components(source, target, f1, arity_out):
     """Order-by-order solve of the morphism equation with prescribed
     linear part f1."""
-    field = source.field
-    Ss = source.shifted_space
-    Ts = target.shifted_space
     comps = {1: f1}
     for k in range(2, arity_out + 1):
         comps[k] = _solve_arity(source, target, comps, k)

@@ -132,15 +132,6 @@ class WordMap:
             out.cols[w] = {w: field.one}
         return out
 
-    def restrict_outputs(self, keep):
-        """Keep only output words for which keep(word) is true."""
-        out = WordMap(self.field)
-        for w, col in self.cols.items():
-            c = {wo: v for wo, v in col.items() if keep(wo)}
-            if c:
-                out.cols[w] = c
-        return out
-
     def eq(self, other):
         return (self - other).is_zero()
 

@@ -165,3 +165,80 @@ def test_qs_minimal_model_exits_1_when_an_identity_fails(tmp_path, monkeypatch):
     assert main(["qs-minimal-model", section, "--out", str(tmp_path / "bad")]) == 1
     rep = json.loads(_read(str(tmp_path / "bad" / "qs_minimal.json")))["payload"]
     assert rep["identities_hold"]["P I = id"] is False
+
+
+# ------------------------------------------------ malformed documents
+
+def _tower_with(edit):
+    from homotopylie.generators import lambda_dgla
+
+    payload = serialize.algebra_payload(lambda_dgla())
+    edit(payload["ops"]["2"][0])  # ([0, 1], 1, "1") -- degree -1 output
+    return payload
+
+
+def _set_output(index):
+    def edit(entry):
+        entry[1] = index
+    return edit
+
+
+def _section_with_extra_row():
+    payload = serialize.section_payload(dcrit(MultiPoly.variable(1, 0, QQ) ** 3))
+    payload["section"].append(payload["section"][0])
+    return payload
+
+
+def _bv_with_short_sigma():
+    payload = serialize.bv_payload(canonical_dcrit_bv(MultiPoly.variable(2, 0, QQ) ** 3))
+    payload["sigma"][0].pop()
+    return payload
+
+
+def _cocycle_with_stray_edge():
+    oc = OrientationCocycle(2, [Fraction(4), Fraction(9)], {(0, 1): Fraction(3, 2), (1, 2): Fraction(1)})
+    return serialize.cocycle_payload(oc)
+
+
+MALFORMED = {
+    "output index out of range": ("linfty_algebra", lambda: _tower_with(_set_output(999)),
+                                  ["check", "transfer"]),
+    "output of the wrong degree": ("linfty_algebra", lambda: _tower_with(_set_output(4)),
+                                   ["check", "transfer"]),
+    "word longer than its arity": ("linfty_algebra", lambda: _tower_with(lambda e: e[0].append(2)),
+                                   ["check", "transfer"]),
+    "section longer than its rank": ("qs_section", _section_with_extra_row,
+                                     ["check", "qs-minimal-model"]),
+    "sigma not r x n": ("bv_data", _bv_with_short_sigma, ["bv-verify"]),
+    "edge to a missing vertex": ("orientation_cocycle", _cocycle_with_stray_edge, ["orient"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_documents_exit_2_with_a_message(tmp_path, capsys, case):
+    kind, make, commands = MALFORMED[case]
+    path = _write(str(tmp_path / "doc.json"), kind, make())
+    for command in commands:
+        out = str(tmp_path / command)
+        assert main([command, path, "--out", out]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip()) > len("error:"), err
+        assert not os.path.exists(out), "%s wrote output for a malformed document" % command
+
+
+def test_gen_examples_needs_out(tmp_path, capsys):
+    assert main(["gen-examples", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--out" in captured.err
+
+
+def test_only_nerve_takes_format(tmp_path):
+    from homotopylie.generators import lambda_dgla
+
+    path = _write(str(tmp_path / "t.json"), "linfty_algebra", serialize.algebra_payload(lambda_dgla()))
+    out = str(tmp_path / "out")
+    assert main(["check", path, "--out", out]) == 0
+    assert main(["check", path, "--out", out, "--format", "text"]) == 2
+    assert main(["check", path, "--out", out, "--scalar", "rational"]) == 2
+    assert main(["nerve", path, "--out", out, "--n-seeds", "0", "--format", "text"]) == 0
+    assert _read(os.path.join(out, "nerve.txt")) == "#\n\n"

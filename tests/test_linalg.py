@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from homotopylie import linalg
 from homotopylie.scalars import QQ, QQi, GaussianRational, FloatComplexField
@@ -79,3 +79,37 @@ def test_solve_consistency(A, x):
     y = linalg.solve(QQ, A, b)
     assert y is not None
     assert linalg.mat_vec(QQ, A, y) == b
+
+
+# ------------------------------------------------------ sympy as oracle
+
+square = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-4, 4).map(F), min_size=n, max_size=n),
+                       min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mats)
+def test_rank_and_kernel_match_sympy(A):
+    sympy = pytest.importorskip("sympy")
+    M = sympy.Matrix(A)
+    assert linalg.rank(QQ, A) == M.rank()
+    ker = linalg.kernel_basis(QQ, A)
+    assert len(ker) == len(M.nullspace())
+    if ker:
+        K = sympy.Matrix(ker).T
+        assert M * K == sympy.zeros(M.rows, len(ker)) and K.rank() == len(ker)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square)
+def test_det_and_inverse_match_sympy(A):
+    sympy = pytest.importorskip("sympy")
+    M = sympy.Matrix(A)
+    assert linalg.det(QQ, A) == M.det()
+    if M.det() == 0:
+        with pytest.raises(ValueError):
+            linalg.inverse(QQ, A)
+    else:
+        assert sympy.Matrix(linalg.inverse(QQ, A)) == M.inv()

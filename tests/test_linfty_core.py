@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from homotopylie import GradedSpace, LInftyAlgebra, MultiLinearOp, to_shifted, to_unshifted
+from homotopylie import GradedMap, GradedSpace, LInftyAlgebra, MultiLinearOp, to_shifted, to_unshifted
+from homotopylie.generators import corrupt_one_constant, rand_invertible, weighted_nilpotent_dgla
 from homotopylie.multilinear import koszul_sort
 from homotopylie.scalars import QQ
 
@@ -139,3 +142,23 @@ def test_analytic_bound():
     assert C > 0 and C * r < 1
     C0, r0 = LInftyAlgebra(GradedSpace({1: 2}), {}).analytic_bound()
     assert C0 == 0.0 and r0 == float("inf")
+
+
+# ------------------------------------------------ conjugation invariance
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_conjugate_validates_iff_the_tower_does(seed):
+    """Conjugating by an invertible degree-0 map keeps a tower valid and
+    keeps a corrupted one invalid."""
+    rng = random.Random(seed)
+    alg = weighted_nilpotent_dgla(rng)
+    found = corrupt_one_constant(alg, rng)
+    assume(found is not None)
+    bad, _ = found
+    g = GradedMap(alg.space, alg.space, 0)
+    for deg in alg.space.degrees():
+        g.blocks[deg] = rand_invertible(rng, QQ, alg.space.dim(deg))
+    for tower, ok in ((alg, True), (bad, False)):
+        assert tower.validate(3).ok is ok
+        assert tower.conjugate(g).validate(3).ok is ok

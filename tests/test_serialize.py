@@ -1,11 +1,15 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from homotopylie import serialize
 from homotopylie.generators import (
     weighted_nilpotent_dgla,
     block_perturbed_context,
     random_adaptable_section,
+    two_degree_dgla,
 )
+from homotopylie.qs import dcrit
 from homotopylie.transfer import minimal_model
 from homotopylie.bv import canonical_dcrit_bv, validate_bv, OrientationCocycle
 from homotopylie.polynomial import MultiPoly
@@ -99,3 +103,34 @@ def test_dumps_deterministic():
     kind, payload = serialize.loads(a)
     c = serialize.dumps(kind, serialize.algebra_payload(serialize.algebra_from_payload(payload)))
     assert c == a
+
+
+def _random_potential(rng):
+    """A potential in 2-3 variables with terms of degree 2-4."""
+    n = rng.randint(2, 3)
+    S = MultiPoly.zero(n, QQ)
+    for _ in range(rng.randint(1, 5)):
+        e = [0] * n
+        for _ in range(rng.randint(2, 4)):
+            e[rng.randrange(n)] += 1
+        S = S + MultiPoly(n, QQ, {tuple(e): Fraction(rng.randint(-3, 3), rng.randint(1, 3))})
+    return S
+
+
+TOWERS = {
+    "two_degree_dgla": lambda rng: two_degree_dgla(rng, n1=rng.randint(1, 4), n2=rng.randint(1, 3)),
+    "weighted_nilpotent_dgla": weighted_nilpotent_dgla,
+    "dcrit": lambda rng: dcrit(_random_potential(rng)).to_linfty(),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(sorted(TOWERS)), seed=st.integers(0, 10**6))
+def test_random_towers_round_trip_byte_identically(family, seed):
+    alg = TOWERS[family](random.Random(seed))
+    text = serialize.dumps("linfty_algebra", serialize.algebra_payload(alg))
+    _, payload = serialize.loads(text, "linfty_algebra")
+    back = serialize.algebra_from_payload(payload)
+    assert back.space.dims == alg.space.dims
+    assert {k: op.entries for k, op in back.sops.items()} == {k: op.entries for k, op in alg.sops.items()}
+    assert serialize.dumps("linfty_algebra", serialize.algebra_payload(back)) == text
