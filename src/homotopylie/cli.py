@@ -39,6 +39,13 @@ def _emit(args, name, text):
         sys.stdout.write(text)
 
 
+def _require_out(args):
+    """Commands that write several documents need --out: several
+    documents on stdout would not parse as one."""
+    if not args.out:
+        raise ValueError("%s writes several files: give --out DIR" % args.command)
+
+
 def _json_word(field, witness):
     w_in, w_out, coeff = witness
     return {
@@ -90,6 +97,7 @@ def cmd_check(args):
 
 
 def cmd_transfer(args):
+    _require_out(args)
     alg = _load_algebra(args.file)
     tr = minimal_model(alg, arity_out=args.arity_out)
     _emit(args, "minimal.json",
@@ -142,6 +150,7 @@ def cmd_nerve(args):
 
 
 def cmd_dcrit(args):
+    _require_out(args)
     S = _load_poly(args.file)
     qs = dcrit(S)
     _emit(args, "dcrit_section.json",
@@ -213,9 +222,7 @@ def cmd_orient(args):
 
 
 def cmd_gen_examples(args):
-    if not args.out:
-        # several documents on stdout would not parse as one
-        raise ValueError("gen-examples writes several files: give --out DIR")
+    _require_out(args)
     rng = random.Random(args.seed)
     docs = {}
     for t in range(3):

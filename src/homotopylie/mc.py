@@ -58,45 +58,55 @@ def vec_dist(x, y):
     return max((abs(x.get(i, 0j) - y.get(i, 0j)) for i in keys), default=0.0)
 
 
-# ---------------------------------------------------- dense fast path
+# --------------------------------------------------- sparse fast path
 
-class _DenseTower:
-    """Structure constants of a (small) tower expanded to dense numpy
-    tensors, with Koszul signs baked in; used by the numerical solvers
-    and integrators."""
+class _SparseTower:
+    """Structure constants of a tower as a sparse evaluation plan for the
+    numerical solvers and integrators, which work on dense numpy vectors.
+    Per arity k the plan has one row per input tuple with a nonzero
+    value: every distinct permutation of a stored word, with the Koszul
+    sign `eval_basis` gives it.  The rows are the arrays idx (m x k),
+    out (m) and coef (m)."""
 
     def __init__(self, alg):
         import numpy as np
-        from itertools import product
+        from itertools import permutations
 
-        n = alg.space.total_dim
-        self.n = n
+        self.n = alg.space.total_dim
         self.deg1 = list(alg.space.indices_of_degree(1))
         self.deg2 = list(alg.space.indices_of_degree(2))
-        self.tensors = {}
+        self.plan = {}
         for k, op in alg.sops.items():
-            T = np.zeros((n,) * k + (n,), dtype=complex)
-            for tup in product(range(n), repeat=k):
-                for o, c in op.eval_basis(tup).items():
-                    T[tup + (o,)] = complex(c)
-            self.tensors[k] = T
+            rows, outs, coefs = [], [], []
+            for (word, o), c in op.entries.items():
+                for tup in sorted(set(permutations(word))):
+                    canon, sign = op._canon(tup)
+                    if canon == word:
+                        rows.append(tup)
+                        outs.append(o)
+                        coefs.append(sign * complex(c))
+            idx = np.array(rows, dtype=np.intp).reshape(len(rows), k)
+            self.plan[k] = (idx, np.array(outs, dtype=np.intp), np.array(coefs, dtype=complex))
 
-    def _fold(self, k, vectors):
-        """Contract the first len(vectors) input slots of tensor k."""
+    def _taylor(self, g, head=(), free_last=False):
+        """sum_k 1/(k-m)! l_k(head..., g, ..., g), m = len(head); with
+        free_last, the last input stays free and the result is the
+        (out, in) matrix of sum_k 1/(k-1)! l_k(g, ..., g, -)."""
         import numpy as np
 
-        M = self.tensors[k]
-        for v in vectors:
-            M = np.tensordot(v, M, axes=(0, 0))
-        return M
+        m = len(head) + free_last
+        out = np.zeros((self.n, self.n) if free_last else self.n, dtype=complex)
+        for k, (idx, o, vals) in self.plan.items():
+            # product order as in the tensor contraction of the test oracle:
+            # outputs with one term per arity match it bitwise
+            for j, v in enumerate(list(head) + [g] * (k - m)):
+                vals = v[idx[:, j]] * vals
+            np.add.at(out, (o, idx[:, -1]) if free_last else o, vals / W._factorial(k - m))
+        return out
 
     def mc(self, g):
-        import numpy as np
-
-        out = np.zeros(self.n, dtype=complex)
-        for k in self.tensors:
-            out = out + self._fold(k, [g] * k) / float(W._factorial(k))
-        return out
+        """sum_k 1/k! l_k(g, ..., g) as a dense vector."""
+        return self._taylor(g)
 
     def mc_residual(self, g):
         import numpy as np
@@ -105,28 +115,17 @@ class _DenseTower:
 
     def derivative(self, g):
         """Jacobian of the Maurer-Cartan function at g, shape (out, in)."""
-        import numpy as np
-
-        J = np.zeros((self.n, self.n), dtype=complex)
-        for k in self.tensors:
-            M = self._fold(k, [g] * (k - 1))
-            J = J + M.T / float(W._factorial(k - 1))
-        return J
+        return self._taylor(g, free_last=True)
 
     def anchor_rate(self, g, e):
         """sum_k 1/(k-1)! l_k(e, g, ..., g) as a dense vector."""
-        import numpy as np
-
-        out = np.zeros(self.n, dtype=complex)
-        for k in self.tensors:
-            out = out + self._fold(k, [e] + [g] * (k - 1)) / float(W._factorial(k - 1))
-        return out
+        return self._taylor(g, head=(e,))
 
 
 def _dense_tower(alg):
     tower = getattr(alg, "_dense_tower_cache", None)
     if tower is None:
-        tower = _DenseTower(alg)
+        tower = _SparseTower(alg)
         alg._dense_tower_cache = tower
     return tower
 
@@ -250,10 +249,10 @@ def gauge_flow(alg, mu, eta, step=DEFAULT_STEP, t_end=1.0, radius=None, n_sample
     algf = to_float_algebra(alg)
     field = algf.field
     tower = _dense_tower(algf)
-    eta_fun = eta if callable(eta) else (lambda t, e=eta: e)
+    const = None if callable(eta) else _to_dense(tower.n, float_vector(field, eta))
 
     def eta_at(t):
-        return _to_dense(tower.n, float_vector(field, eta_fun(t)))
+        return const if const is not None else _to_dense(tower.n, float_vector(field, eta(t)))
 
     def rhs(t, g):
         return -tower.anchor_rate(g, eta_at(t))

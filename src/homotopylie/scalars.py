@@ -149,7 +149,10 @@ class RationalField:
         return _frac_str(x)
 
     def from_json(self, s):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except (TypeError, ZeroDivisionError, OverflowError):
+            raise ValueError("bad rational coefficient %r" % (s,)) from None
 
     def __repr__(self):
         return "RationalField()"
@@ -199,9 +202,10 @@ class GaussianRationalField:
         return [_frac_str(x.re), _frac_str(x.im)]
 
     def from_json(self, s):
-        if isinstance(s, str):
-            return GaussianRational(Fraction(s), 0)
-        return GaussianRational(Fraction(s[0]), Fraction(s[1]))
+        parts = [s, "0"] if isinstance(s, str) else s
+        if not isinstance(parts, list) or len(parts) != 2:
+            raise ValueError("bad Gaussian rational coefficient %r" % (s,))
+        return GaussianRational(QQ.from_json(parts[0]), QQ.from_json(parts[1]))
 
     def __repr__(self):
         return "GaussianRationalField()"
@@ -245,9 +249,13 @@ class FloatComplexField:
         return [repr(x.real), repr(x.imag)]
 
     def from_json(self, s):
-        if isinstance(s, str):
-            return complex(float(Fraction(s)) if "/" in s else float(s), 0.0)
-        return complex(float(s[0]), float(s[1]))
+        try:
+            if isinstance(s, str):
+                return complex(float(Fraction(s)) if "/" in s else float(s), 0.0)
+            re, im = s
+            return complex(float(re), float(im))
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValueError("bad float coefficient %r" % (s,)) from None
 
     def __repr__(self):
         return "FloatComplexField(tol=%r)" % self.tol

@@ -183,6 +183,20 @@ def _set_output(index):
     return edit
 
 
+def _set_coefficient(c):
+    def edit(entry):
+        entry[2] = c
+    return edit
+
+
+def _float_tower_with_three_part_coefficient():
+    from homotopylie.generators import lambda_dgla
+
+    payload = serialize.algebra_payload(to_float_algebra(lambda_dgla()))
+    payload["ops"]["2"][0][2] = ["1", "0", "7"]
+    return payload
+
+
 def _section_with_extra_row():
     payload = serialize.section_payload(dcrit(MultiPoly.variable(1, 0, QQ) ** 3))
     payload["section"].append(payload["section"][0])
@@ -207,6 +221,13 @@ MALFORMED = {
                                    ["check", "transfer"]),
     "word longer than its arity": ("linfty_algebra", lambda: _tower_with(lambda e: e[0].append(2)),
                                    ["check", "transfer"]),
+    "coefficient that is a list": ("linfty_algebra", lambda: _tower_with(_set_coefficient(["1", "2"])),
+                                   ["check", "transfer"]),
+    "coefficient with a zero denominator": ("linfty_algebra",
+                                            lambda: _tower_with(_set_coefficient("1/0")),
+                                            ["check", "transfer"]),
+    "float coefficient with three parts": ("linfty_algebra", _float_tower_with_three_part_coefficient,
+                                           ["check", "transfer"]),
     "section longer than its rank": ("qs_section", _section_with_extra_row,
                                      ["check", "qs-minimal-model"]),
     "sigma not r x n": ("bv_data", _bv_with_short_sigma, ["bv-verify"]),
@@ -228,6 +249,16 @@ def test_malformed_documents_exit_2_with_a_message(tmp_path, capsys, case):
 
 def test_gen_examples_needs_out(tmp_path, capsys):
     assert main(["gen-examples", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--out" in captured.err
+
+
+@pytest.mark.parametrize("command, doc", [("transfer", "tower_1.json"), ("dcrit", "potential_0.json")])
+def test_multi_document_commands_need_out(tmp_path, capsys, command, doc):
+    ex = str(tmp_path / "ex")
+    assert main(["gen-examples", "--out", ex, "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert main([command, os.path.join(ex, doc)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--out" in captured.err
 

@@ -1,15 +1,22 @@
-import numpy as np
+import time
 from fractions import Fraction
+from itertools import product
+from math import factorial as fact
+
+import numpy as np
+import pytest
 
 from homotopylie import QQ
+from homotopylie.bv import extend_by_contractible_bv
 from homotopylie.graded import GradedSpace, GradedMap
 from homotopylie.multilinear import MultiLinearOp
 from homotopylie.linfty import LInftyAlgebra
 from homotopylie.polynomial import MultiPoly
-from homotopylie.qs import QsSpace
+from homotopylie.qs import QsSpace, dcrit
 from homotopylie.transfer import minimal_model
 from homotopylie.generators import (
     GL2,
+    brst_circle,
     lambda_dgla,
     mat_vec,
     read_mat,
@@ -24,6 +31,7 @@ from homotopylie.mc import (
     vec_dist,
     OmegaModel,
     homotopy_gauge_action,
+    _dense_tower,
 )
 
 
@@ -81,6 +89,15 @@ def test_reverse_flow_returns():
     assert vec_dist(back.end, gauge_flow(alg, gamma0, eta, step=1).start) < 1e-8
 
 
+def test_constant_eta_flows_like_the_same_eta_as_a_callable():
+    alg = lambda_dgla(coupled=True)
+    gamma0 = mat_vec(alg, (1,), [[1, 1], [0, -1]])
+    eta = mat_vec(alg, (), [[0, 1], [1, 0]])
+    const = gauge_flow(alg, gamma0, eta, step=0.01)
+    fun = gauge_flow(alg, gamma0, lambda t: eta, step=0.01)
+    assert const.samples == fun.samples and const.eta_samples == fun.eta_samples
+
+
 def test_anchor_lands_in_kernel_of_twisted_differential():
     alg = lambda_dgla()
     mu = {**mat_vec(alg, (1,), [[0, 1], [0, 0]]), **mat_vec(alg, (2,), [[0, 3], [0, 0]])}
@@ -88,6 +105,102 @@ def test_anchor_lands_in_kernel_of_twisted_differential():
     d_mu = alg.twisted_differential(mu)
     for src, vec in alg.anchor(mu).items():
         assert all(QQ.is_zero(c) for c in d_mu.apply(vec).values())
+
+
+# ------------------------------------------------- float kernel oracle
+
+def dense_tensors(alg):
+    """Oracle for the sparse plan: every one of the n^k input tuples of
+    arity k through eval_basis, as an n^(k+1) tensor."""
+    n = alg.space.total_dim
+    tensors = {}
+    for k, op in alg.sops.items():
+        T = np.zeros((n,) * k + (n,), dtype=complex)
+        for tup in product(range(n), repeat=k):
+            for o, c in op.eval_basis(tup).items():
+                T[tup + (o,)] = complex(c)
+        tensors[k] = T
+    return tensors
+
+
+def contract(T, vectors):
+    """Contract the first len(vectors) input slots of T."""
+    for v in vectors:
+        T = np.tensordot(v, T, axes=(0, 0))
+    return T
+
+
+def dense_kernels(tensors, g, e):
+    """The MC function, its Jacobian (out, in) and the anchor rate at g
+    applied to e, from the dense tensors."""
+    mc = sum(contract(T, [g] * k) / fact(k) for k, T in tensors.items())
+    jac = sum(contract(T, [g] * (k - 1)).T / fact(k - 1) for k, T in tensors.items())
+    anchor = sum(contract(T, [e] + [g] * (k - 1)) / fact(k - 1) for k, T in tensors.items())
+    return mc, jac, anchor
+
+
+def dcrit_arity5(nvars):
+    """dCrit of a potential with a nondegenerate quadratic part and terms
+    up to degree 6, so native arity 5."""
+    z = [MultiPoly.variable(nvars, i, QQ) for i in range(nvars)]
+    S = z[0] * z[1] * z[2] - z[3] ** 4 + z[0] * z[0] * z[nvars - 1] ** 4 * QQ.coerce(2)
+    S = S + z[1] ** 6 * QQ.coerce(-1) + z[2] * z[3] ** 5
+    for i, zi in enumerate(z):
+        S = S + zi * zi * QQ.coerce(i % 3 + 1)
+    return dcrit(S).to_linfty()
+
+
+def _potential(n, make):
+    return make(*(MultiPoly.variable(n, i, QQ) for i in range(n)))
+
+
+# the five nerve fixtures of c09 first
+ORACLE_TOWERS = {
+    "lambda coupled": lambda: lambda_dgla(coupled=True),
+    "lambda": lambda_dgla,
+    "dcrit x1^3 - x1 x2": lambda: dcrit(_potential(2, lambda x1, x2: x1 ** 3 - x1 * x2)).to_linfty(),
+    "dcrit z1^2 + z2^2 + z3^3 + z3^4": lambda: dcrit(
+        _potential(3, lambda z1, z2, z3: z1 * z1 + z2 * z2 + z3 ** 3 + z3 ** 4)
+    ).to_linfty(),
+    "u^3 + u^4 plus contractible": lambda: extend_by_contractible_bv(
+        _potential(1, lambda u: u ** 3 + u ** 4), 2
+    )[1].to_linfty(),
+    "lambda coupled, minimal model": lambda: minimal_model(
+        lambda_dgla(coupled=True), arity_out=3
+    ).small,
+    "brst circle": lambda: brst_circle().algebra,
+    "dcrit, 4 variables, arity 5": lambda: dcrit_arity5(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TOWERS))
+def test_sparse_kernels_match_the_dense_oracle(name):
+    alg = to_float_algebra(ORACLE_TOWERS[name]())
+    tower = _dense_tower(alg)
+    tensors = dense_tensors(alg)
+    n = alg.space.total_dim
+    deg0 = list(alg.space.indices_of_degree(0))
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        g = rng.normal(size=n) + 1j * rng.normal(size=n)
+        e = np.zeros(n, dtype=complex)
+        e[deg0] = rng.normal(size=len(deg0)) + 1j * rng.normal(size=len(deg0))
+        got = (tower.mc(g), tower.derivative(g), tower.anchor_rate(g, e))
+        for what, a, b in zip(("mc", "derivative", "anchor_rate"), got, dense_kernels(tensors, g, e)):
+            scale = max(1.0, float(np.max(np.abs(b))))
+            assert np.max(np.abs(a - b)) <= 1e-12 * scale, (name, what)
+
+
+def test_solve_mc_on_an_arity_5_dcrit_tower_builds_no_dense_tensors():
+    # built as n^(k+1) dense tensors, this 12-dimensional tower took 1.5 s
+    alg = dcrit_arity5(6)
+    rng = np.random.default_rng(5)
+    seed = {i: complex(rng.normal() * 0.2) for i in alg.space.indices_of_degree(1)}
+    t0 = time.perf_counter()
+    m = solve_mc(alg, seed, tol=1e-10)
+    elapsed = time.perf_counter() - t0
+    assert m.converged
+    assert elapsed < 0.25, elapsed
 
 
 # ------------------------------------------------------------ MC solving
