@@ -149,6 +149,10 @@ class RationalField:
         return _frac_str(x)
 
     def from_json(self, s):
+        # bool is an int subclass, and a float is already rounded to binary:
+        # exact documents carry their coefficients as strings or integers
+        if isinstance(s, (bool, float)):
+            raise ValueError("bad rational coefficient %r: not exact" % (s,))
         try:
             return Fraction(s)
         except (TypeError, ZeroDivisionError, OverflowError):

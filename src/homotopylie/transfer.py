@@ -6,7 +6,9 @@ minimal models and strong decompositions.
 and the retract that `minimal_model` returns.  It sums the perturbation
 series column by column (tree recursion for the operations and the
 inclusion, memoized recursion for the projection) and builds no map of
-whole word spaces.  `homotopy_transfer` (the perturbation lemma
+whole word spaces.  The projection is computed only on its live words,
+found by running its recursion backwards on supports before any exact
+arithmetic.  `homotopy_transfer` (the perturbation lemma
 `hpl_perturb` on word spaces) and `dgla_tree_transfer` are kept as test
 oracles; the engine's structure constants equal `homotopy_transfer`'s
 exactly.
@@ -349,7 +351,11 @@ def tree_transfer(alg, ctx, arity_out=3):
     with transferred operations l_k = p theta and inclusion components I.
     On a word w over V[1] the second gives the projection components
       f(x) = p(x),  f(w) = -f(mu S(h) w) for |w| >= 2,
-    from one column of S(h) and the mu columns of its output words."""
+    from one column of S(h) and the mu columns of its output words.
+    A support pass runs this recursion backwards first: from the letters
+    with p(x) != 0 through the preimages of mu, then of S(h), it finds
+    the live words, those whose f can be nonzero if nothing cancels.
+    Only live words get an S(h) column; every other f is exactly zero."""
     field = alg.field
     Vs = alg.shifted_space
     Ws = ctx.small.space.shifted(1)
@@ -418,25 +424,39 @@ def tree_transfer(alg, ctx, arity_out=3):
             f_mus[u] = vec_clean(field, out)
         return f_mus[u]
 
+    # The support pass: it ignores cancellation, so f = 0 exactly off
+    # `live`.  `reach` holds the words u with a live word in the support
+    # of mu u, the only words whose f(mu u) can be nonzero.
+    h_inv, ip_inv = _inverse(h_c.items()), _inverse(ip_c.items())
+    q_inv = _inverse(item for index in q.values() for item in index.items())
+    live = {(x,) for x, v in p_c.items() if v}
+    reach = set()
+    for n in range(1, arity_out):
+        for u2 in [w for w in live if len(w) == n]:
+            reach.update(
+                u for u in W.coderivation_preimages(q_inv, u2, degV) if len(u) <= arity_out
+            )
+        for u in [u for u in reach if len(u) == n + 1]:
+            live.update(W.symmetrized_homotopy_preimages(h_inv, ip_inv, u, degV))
+
     def projection(w):
         if len(w) == 1:
             return p_c[w[0]]
-        if w in projs:
-            return projs[w]
-        out = {}
-        # f has degree 0 and mu S(h) keeps the degree; S(h) w = 0 unless
-        # some letter has h(x) != 0
-        if W.word_degree(w, degV) in Ws.dims and any(h_c[x] for x in w):
+        if w not in live:
+            return {}
+        if w not in projs:
+            out = {}
             col = W.symmetrized_homotopy_column(field, h_c.__getitem__, ip_c.__getitem__, w, degV)
             for u, c in col.items():
-                _add_into(field, out, f_mu(u), -c)
-        projs[w] = out = vec_clean(field, out)
-        return out
+                if u in reach:
+                    _add_into(field, out, f_mu(u), -c)
+            projs[w] = vec_clean(field, out)
+        return projs[w]
 
     prj = {1: _columns_op(p_c, Vs, Ws, 0)}
     for k in range(2, arity_out + 1):
         f = MultiLinearOp(Vs, Ws, k, 0, "sym")
-        for w in W.enumerate_words(Vs, k, k):
+        for w in sorted(w for w in live if len(w) == k):
             for o, c in projection(w).items():
                 f.add_entry(w, o, c)
         prj[k] = f
@@ -474,6 +494,16 @@ def _by_word(op):
     out = {}
     for (w, o), c in op.entries.items():
         out.setdefault(w, {})[o] = c
+    return out
+
+
+def _inverse(images):
+    """{y: [x, ...]} from pairs (x, image of x): the x whose image has a
+    y-component."""
+    out = {}
+    for x, v in images:
+        for y in v:
+            out.setdefault(y, []).append(x)
     return out
 
 

@@ -8,7 +8,7 @@ structure validation (coderivation squares) and homotopy transfer.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 from fractions import Fraction
 
 from .multilinear import koszul_sort, repeat_kills
@@ -188,6 +188,19 @@ def coderivation_column(field, evals, w, deg_of):
     return {wo: c for wo, c in out.items() if not field.is_zero(c)}
 
 
+def coderivation_preimages(inputs, u, deg_of):
+    """The words whose `coderivation_column` can reach the word u, with
+    repeats, ignoring cancellation: inputs[o] lists the sorted tuples of
+    letters on which some operation has the output letter o."""
+    for o in set(u):
+        rest = list(u)
+        rest.remove(o)
+        for sel in inputs.get(o, ()):
+            w = tuple(sorted(rest + list(sel)))
+            if not repeat_kills(w, deg_of):
+                yield w
+
+
 def _perm_sign(word, perm, deg_of):
     """Koszul sign of rearranging word into (word[perm[0]], word[perm[1]], ...)."""
     sign = 1
@@ -325,6 +338,26 @@ def symmetrized_homotopy_column(field, H, IP, w, deg_of):
         for wo, c in acc.items():
             out[wo] = out.get(wo, field.zero) + c * weight
     return {wo: c for wo, c in out.items() if not field.is_zero(c)}
+
+
+def symmetrized_homotopy_preimages(H, IP, u, deg_of):
+    """The words whose `symmetrized_homotopy_column` can reach the word u,
+    with repeats, ignoring cancellation: H and IP map a letter y to the
+    letters whose image under h and ip has a y-component.  One letter of u
+    is the image of the h-letter, a subset of the others are images of
+    ip-letters, and the rest pass unchanged."""
+    n = len(u)
+    for j in range(n):
+        if not H.get(u[j]) or (j and u[j] == u[j - 1]):
+            continue
+        others = u[:j] + u[j + 1 :]
+        for r in range(n):
+            for A in combinations(range(n - 1), r):
+                tail = [others[p] for p in range(n - 1) if p not in A]
+                for head in product(H[u[j]], *(IP.get(others[a], ()) for a in A)):
+                    w = tuple(sorted(tail + list(head)))
+                    if not repeat_kills(w, deg_of):
+                        yield w
 
 
 def _factorial(n):

@@ -189,6 +189,12 @@ def _set_coefficient(c):
     return edit
 
 
+def _gaussian_tower_with_float_part():
+    payload = _tower_with(_set_coefficient([0.5, "0"]))
+    payload["scalar"] = "rational-complex"
+    return payload
+
+
 def _float_tower_with_three_part_coefficient():
     from homotopylie.generators import lambda_dgla
 
@@ -226,6 +232,12 @@ MALFORMED = {
     "coefficient with a zero denominator": ("linfty_algebra",
                                             lambda: _tower_with(_set_coefficient("1/0")),
                                             ["check", "transfer"]),
+    "coefficient that is a JSON float": ("linfty_algebra", lambda: _tower_with(_set_coefficient(0.1)),
+                                         ["check", "transfer"]),
+    "coefficient that is a JSON boolean": ("linfty_algebra", lambda: _tower_with(_set_coefficient(True)),
+                                           ["check", "transfer"]),
+    "rational-complex coefficient with a float part": ("linfty_algebra", _gaussian_tower_with_float_part,
+                                                       ["check", "transfer"]),
     "float coefficient with three parts": ("linfty_algebra", _float_tower_with_three_part_coefficient,
                                            ["check", "transfer"]),
     "section longer than its rank": ("qs_section", _section_with_extra_row,

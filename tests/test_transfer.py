@@ -28,6 +28,7 @@ from homotopylie.transfer import (
     dgla_tree_transfer,
     strong_decomposition,
     tree_transfer,
+    _inverse,
 )
 
 
@@ -293,11 +294,57 @@ def _random_tower(rng, density=0.5):
 
 
 @settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6), gauge=st.booleans())
+def test_tree_engine_equals_hpl_on_towers_with_odd_letters(seed, gauge):
+    alg = _random_tower(random.Random(seed))
+    ctx = _gauge_retract(alg) if gauge else _retract(alg)
+    assert_same_transfer(tree_transfer(alg, ctx, 4), homotopy_transfer(alg, ctx, 4))
+
+
+def test_projection_takes_s_h_columns_only_for_live_words(monkeypatch):
+    """p-infinity builds an S(h) column only for words whose component can
+    be nonzero.  On the coupled lambda dgla at arity 3, 38 words have a
+    nonzero projection component of arity >= 2; 680 words of V[1] have an
+    h-letter and a degree of W[1]."""
+    column = W.symmetrized_homotopy_column
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return column(*args)
+
+    monkeypatch.setattr(W, "symmetrized_homotopy_column", counted)
+    tr = minimal_model(lambda_dgla(coupled=True), 3)
+    nonzero = {w for k, f in tr.projection.components.items() if k >= 2 for w, _ in f.entries}
+    assert len(nonzero) == 38
+    assert len(calls) <= 2 * len(nonzero)
+
+
+@settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10**6))
-def test_tree_engine_equals_hpl_on_towers_with_odd_letters(seed):
+def test_support_preimages_cover_the_columns(seed):
+    """Every word in the S(h) column or the coderivation column of a word
+    w of length 2 or 3 has w among its support preimages, over letters of
+    both parities: the live-word pass of `tree_transfer` rests on this."""
     alg = _random_tower(random.Random(seed))
     ctx = _retract(alg)
-    assert_same_transfer(tree_transfer(alg, ctx, 4), homotopy_transfer(alg, ctx, 4))
+    Vs = alg.shifted_space
+    deg = Vs.degree_of
+    Ws = ctx.small.space.shifted(1)
+    h = ctx.h.shifted(1, Vs, Vs)
+    ip = ctx.i.shifted(1, Ws, Vs) @ ctx.p.shifted(1, Vs, Ws)
+    h_c = {x: h.apply({x: QQ.one}) for x in range(Vs.total_dim)}
+    ip_c = {x: ip.apply({x: QQ.one}) for x in range(Vs.total_dim)}
+    h_inv, ip_inv = _inverse(h_c.items()), _inverse(ip_c.items())
+    higher = {k: op for k, op in alg.sops.items() if k >= 2}
+    evals = {k: op.eval_basis for k, op in higher.items()}
+    inputs = _inverse((w, [o]) for op in higher.values() for w, o in op.entries)
+
+    for word in W.enumerate_words(Vs, 3, 2):
+        for u in W.symmetrized_homotopy_column(QQ, h_c.__getitem__, ip_c.__getitem__, word, deg):
+            assert word in set(W.symmetrized_homotopy_preimages(h_inv, ip_inv, u, deg)), (word, u)
+        for u in W.coderivation_column(QQ, evals, word, deg):
+            assert word in set(W.coderivation_preimages(inputs, u, deg)), (word, u)
 
 
 @settings(max_examples=40, deadline=None)
