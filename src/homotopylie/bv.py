@@ -44,7 +44,7 @@ def mc_polynomials(alg):
                 continue
             key, aut = _monomial(word, col, n)
             p = out[row[o]]
-            p.terms[key] = p.terms.get(key, field.zero) + c / field.coerce(aut)
+            p.terms[key] = p.terms.get(key, field.zero) + field.div(c, aut)
     for p in out:
         p.terms = {e: c for e, c in p.terms.items() if not field.is_zero(c)}
     return out
@@ -72,7 +72,7 @@ def anchor_polynomials(alg):
                 continue
             key, aut = _monomial(rest, col, n)
             p = out[gs[0]][col[o]]
-            p.terms[key] = p.terms.get(key, field.zero) + c / field.coerce(aut)
+            p.terms[key] = p.terms.get(key, field.zero) + field.div(c, aut)
     for g in out:
         for p in out[g]:
             p.terms = {e: c for e, c in p.terms.items() if not field.is_zero(c)}
@@ -313,7 +313,7 @@ def potential_from_symplectic(alg, omega, cutoff=None):
         for e, c in theta[i].terms.items():
             tot = sum(e) + 1
             key = tuple(m + (1 if k == i else 0) for k, m in enumerate(e))
-            S.terms[key] = S.terms.get(key, field.zero) + c / field.coerce(tot)
+            S.terms[key] = S.terms.get(key, field.zero) + field.div(c, tot)
     S.terms = {e: c for e, c in S.terms.items() if not field.is_zero(c)}
     grad = S.gradient()
     for i in range(n):

@@ -110,7 +110,7 @@ class GradedMap:
             m = target.dim(d + degree)
             n = source.dim(d)
             if blocks is not None and d in blocks:
-                self.blocks[d] = [list(r) for r in blocks[d]]
+                self.blocks[d] = [[self.field.coerce(x) for x in r] for r in blocks[d]]
             else:
                 self.blocks[d] = linalg.zeros(self.field, m, n)
 
@@ -129,6 +129,7 @@ class GradedMap:
     def set_entry(self, out_idx, in_idx, val):
         d = self.source.degree_of(in_idx)
         assert self.target.degree_of(out_idx) == d + self.degree
+        val = self.field.coerce(val)
         self.blocks[d][self.target.position_of(out_idx)][self.source.position_of(in_idx)] = val
 
     def entry(self, out_idx, in_idx):
@@ -200,10 +201,7 @@ class GradedMap:
         sign bookkeeping of the shift lives in the operation layer)."""
         src = src if src is not None else self.source.shifted(k)
         tgt = tgt if tgt is not None else self.target.shifted(k)
-        out = GradedMap(src, tgt, self.degree)
-        for d in self.blocks:
-            out.blocks[d - k] = [list(r) for r in self.blocks[d]]
-        return out
+        return GradedMap(src, tgt, self.degree, {d - k: B for d, B in self.blocks.items()})
 
     def norm(self):
         """Max absolute entry (field magnitude)."""

@@ -2,6 +2,8 @@
 
 Matrices are plain lists of rows.  In exact modes elimination uses the
 first nonzero pivot; in float mode it uses partial pivoting by magnitude.
+Eliminations divide through `field.div` and store every entry they
+compute through `field.coerce`, so exact results stay in normal form.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ def _pivot_row(field, M, c, start):
 
 def rref(field, A):
     """Reduced row echelon form.  Returns (R, pivot_columns)."""
-    R = [list(row) for row in A]
+    coerce = field.coerce
+    R = [[coerce(x) for x in row] for row in A]
     m = len(R)
     n = len(R[0]) if m else 0
     pivots = []
@@ -101,11 +104,11 @@ def rref(field, A):
             continue
         R[r], R[best] = R[best], R[r]
         piv = R[r][c]
-        R[r] = [x / piv for x in R[r]]
+        R[r] = [field.div(x, piv) for x in R[r]]
         for i in range(m):
             if i != r and not field.is_zero(R[i][c]):
                 f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+                R[i] = [coerce(x - f * y) for x, y in zip(R[i], R[r])]
         pivots.append(c)
         r += 1
     return R, pivots
@@ -174,7 +177,8 @@ def det(field, A):
     n = len(A)
     if n == 0:
         return field.one
-    M = [list(row) for row in A]
+    coerce = field.coerce
+    M = [[coerce(x) for x in row] for row in A]
     sign = field.one
     d = field.one
     for c in range(n):
@@ -188,9 +192,9 @@ def det(field, A):
         d = d * piv
         for i in range(c + 1, n):
             if not field.is_zero(M[i][c]):
-                f = M[i][c] / piv
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return sign * d
+                f = field.div(M[i][c], piv)
+                M[i] = [coerce(x - f * y) for x, y in zip(M[i], M[c])]
+    return coerce(sign * d)
 
 
 def column_space_pivots(field, A):

@@ -77,7 +77,7 @@ class MultiLinearOp:
         if self.field.is_zero(new):
             self.entries.pop(key, None)
         else:
-            self.entries[key] = new
+            self.entries[key] = self.field.coerce(new)
 
     def eval_basis(self, ins):
         """Value on a tuple of basis generators: sparse vector."""
@@ -120,8 +120,9 @@ class MultiLinearOp:
 
     def scale(self, c):
         out = MultiLinearOp(self.source, self.target, self.arity, self.degree, self.symmetry)
+        coerce = self.field.coerce
         for (w, o), x in self.entries.items():
-            out.entries[(w, o)] = c * x
+            out.entries[(w, o)] = coerce(c * x)
         return out
 
     def __neg__(self):

@@ -571,7 +571,7 @@ def _congruence_diagonalize(field, H):
         piv = A[k][k]
         for j in range(k + 1, n):
             if not field.is_zero(A[k][j]):
-                add_col(j, k, -A[k][j] / piv)
+                add_col(j, k, field.div(-A[k][j], piv))
     diag = [A[i][i] for i in range(n)]
     return P, diag
 
@@ -592,7 +592,7 @@ def morse_thom_split(S, cutoff=None):
         if i == j:
             H[i][i] = H[i][i] + c
         else:
-            half = c / field.coerce(2)
+            half = field.div(c, 2)
             H[i][j] = H[i][j] + half
             H[j][i] = H[j][i] + half
     P, diag = _congruence_diagonalize(field, H)
@@ -631,7 +631,7 @@ def morse_thom_split(S, cutoff=None):
             work = rest
             if hi.is_zero():
                 continue
-            subs[i] = subs[i] - hi.scale(field.one / (field.coerce(2) * coeffs[i]))
+            subs[i] = subs[i] - hi.scale(field.div(field.one, 2 * coeffs[i]))
         # truncating here keeps the coordinate change from compounding in
         # degree; anything dropped sits above the cutoff
         change = [p.substitute(subs).truncate(cutoff) for p in change]

@@ -4,6 +4,14 @@ Three modes: exact rationals (the default), exact Gaussian rationals
 (rational real and imaginary parts), and machine complex numbers with a
 comparison tolerance.  All higher layers go through a Field object so that
 the same elimination / evaluation code runs in every mode.
+
+An exact rational is an `int` when it is integral and a `Fraction`
+otherwise: most structure constants are integers, and int arithmetic is
+much cheaper than Fraction arithmetic.  `QQ.coerce`, `QQ.div`,
+`QQ.from_json` and `QQ.sqrt` return that normal form, and the layers that
+store scalars pass them through `coerce`.  Two ints must never meet in a
+plain `/`, which gives a float: divisions go through `field.div`.  The
+JSON form is the same for both types.  The exact fields reject floats.
 """
 
 from __future__ import annotations
@@ -97,30 +105,43 @@ def _gq(x):
     return NotImplemented
 
 
-def _frac_str(q: Fraction) -> str:
-    # canonical "num/den" printing, integers without the "/1"
+def _frac_str(q) -> str:
+    # canonical "num/den" printing of an int or a Fraction, integers
+    # without the "/1"
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
+
+
+def _norm(q):
+    """A Fraction as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
 
 
 class RationalField:
     name = "rational"
     exact = True
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
+        # type(), not isinstance: a bool is an int, and exact fields take
+        # neither bools nor floats
+        if type(x) is int:
             return x
-        if isinstance(x, int):
-            return Fraction(x)
+        if isinstance(x, Fraction):
+            return _norm(x)
         if isinstance(x, str):
-            return Fraction(x)
-        if isinstance(x, float):
-            return Fraction(x).limit_denominator(10**12)
+            return _norm(Fraction(x))
         raise TypeError("cannot coerce %r to rational" % (x,))
+
+    def div(self, a, b):
+        """a / b in normal form: never a float, even for two ints."""
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        return _norm(Fraction(a, b))
 
     def is_zero(self, x):
         return x == 0
@@ -129,7 +150,7 @@ class RationalField:
         return a == b
 
     def mag(self, x):
-        """Magnitude used for pivoting and max-norms (exact Fraction)."""
+        """Magnitude used for pivoting and max-norms (exact rational)."""
         return abs(x)
 
     def to_float(self, x):
@@ -142,7 +163,7 @@ class RationalField:
         n, d = x.numerator, x.denominator
         rn, rd = math.isqrt(n), math.isqrt(d)
         if rn * rn == n and rd * rd == d:
-            return Fraction(rn, rd)
+            return _norm(Fraction(rn, rd))
         return None
 
     def to_json(self, x):
@@ -154,7 +175,7 @@ class RationalField:
         if isinstance(s, (bool, float)):
             raise ValueError("bad rational coefficient %r: not exact" % (s,))
         try:
-            return Fraction(s)
+            return _norm(Fraction(s))
         except (TypeError, ZeroDivisionError, OverflowError):
             raise ValueError("bad rational coefficient %r" % (s,)) from None
 
@@ -172,14 +193,12 @@ class GaussianRationalField:
     def coerce(self, x):
         if isinstance(x, GaussianRational):
             return x
-        if isinstance(x, (int, Fraction)):
+        if type(x) is int or isinstance(x, Fraction):
             return GaussianRational(x, 0)
-        if isinstance(x, complex):
-            rf = RationalField()
-            return GaussianRational(rf.coerce(x.real), rf.coerce(x.imag))
-        if isinstance(x, float):
-            return GaussianRational(RationalField().coerce(x), 0)
         raise TypeError("cannot coerce %r to Gaussian rational" % (x,))
+
+    def div(self, a, b):
+        return self.coerce(a) / b
 
     def is_zero(self, x):
         return not x
@@ -226,9 +245,10 @@ class FloatComplexField:
         self.tol = tol
 
     def coerce(self, x):
-        if isinstance(x, GaussianRational):
-            return complex(x)
         return complex(x)
+
+    def div(self, a, b):
+        return a / b
 
     def is_zero(self, x):
         return abs(x) <= self.tol

@@ -583,7 +583,7 @@ def dgla_tree_transfer(alg, ctx, arity_out=3):
                 # sign from moving B-letters out is already in sgnA; the
                 # q2 evaluation handles internal Koszul ordering
                 for o, c in val.items():
-                    out[o] = out.get(o, field.zero) + c * field.coerce(sgnA)
+                    out[o] = out.get(o, field.zero) + (c if sgnA == 1 else -c)
         return {k: v for k, v in out.items() if not field.is_zero(v)}
 
     ops = {}

@@ -222,8 +222,7 @@ def _expand_product(field, vectors, deg_of):
             w, s = canon_word(tuple(idxs), deg_of)
             if w is None:
                 return
-            c = coeff * field.coerce(s)
-            out[w] = out.get(w, field.zero) + c
+            out[w] = out.get(w, field.zero) + (coeff if s == 1 else -coeff)
             return
         for idx, c in vectors[i].items():
             rec(i + 1, idxs + [idx], coeff * c)
@@ -301,7 +300,7 @@ def symmetrized_homotopy(field, apply_h, apply_ip, words, deg_of):
                     continue
                 col = _expand_product(field, vecs, deg_of)
                 for wo, c in col.items():
-                    acc[wo] = acc.get(wo, field.zero) + c * field.coerce(sgn)
+                    acc[wo] = acc.get(wo, field.zero) + (c if sgn == 1 else -c)
         col = {wo: c * inv_fact for wo, c in acc.items() if not field.is_zero(c)}
         if col:
             out.cols[w] = col
@@ -409,7 +408,7 @@ def morphism_lift(field, components, words, deg_of, deg_out=None):
                 continue
             col = _expand_product(field, vecs, deg_out)
             for wo, c in col.items():
-                acc[wo] = acc.get(wo, field.zero) + c * field.coerce(sgn)
+                acc[wo] = acc.get(wo, field.zero) + (c if sgn == 1 else -c)
         col = {wo: c for wo, c in acc.items() if not field.is_zero(c)}
         if col:
             F.cols[w] = col

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exactness import assert_exact
 from homotopylie import linalg
 from homotopylie.scalars import QQ, QQi, GaussianRational, FloatComplexField
 
@@ -54,11 +55,14 @@ def test_float_field_pivoting():
     assert linalg.rank(f, A) == 2
 
 
-mats = st.lists(
-    st.lists(st.integers(-5, 5).map(F), min_size=3, max_size=3),
+# a matrix has all-int or all-Fraction entries: exact elimination must
+# take both, and an int pivot divided with a plain / gives a float
+kinds = st.sampled_from([int, F])
+mats = kinds.flatmap(lambda kind: st.lists(
+    st.lists(st.integers(-5, 5).map(kind), min_size=3, max_size=3),
     min_size=2,
     max_size=4,
-)
+))
 
 
 @given(mats)
@@ -83,9 +87,9 @@ def test_solve_consistency(A, x):
 
 # ------------------------------------------------------ sympy as oracle
 
-square = st.integers(1, 4).flatmap(
-    lambda n: st.lists(st.lists(st.integers(-4, 4).map(F), min_size=n, max_size=n),
-                       min_size=n, max_size=n)
+square = st.tuples(st.integers(1, 4), kinds).flatmap(
+    lambda nk: st.lists(st.lists(st.integers(-4, 4).map(nk[1]), min_size=nk[0], max_size=nk[0]),
+                        min_size=nk[0], max_size=nk[0])
 )
 
 
@@ -96,6 +100,7 @@ def test_rank_and_kernel_match_sympy(A):
     M = sympy.Matrix(A)
     assert linalg.rank(QQ, A) == M.rank()
     ker = linalg.kernel_basis(QQ, A)
+    assert_exact([linalg.rref(QQ, A), ker])
     assert len(ker) == len(M.nullspace())
     if ker:
         K = sympy.Matrix(ker).T
@@ -108,8 +113,14 @@ def test_det_and_inverse_match_sympy(A):
     sympy = pytest.importorskip("sympy")
     M = sympy.Matrix(A)
     assert linalg.det(QQ, A) == M.det()
+    assert_exact(linalg.det(QQ, A))
     if M.det() == 0:
         with pytest.raises(ValueError):
             linalg.inverse(QQ, A)
     else:
-        assert sympy.Matrix(linalg.inverse(QQ, A)) == M.inv()
+        inv = linalg.inverse(QQ, A)
+        assert sympy.Matrix(inv) == M.inv()
+        # A is invertible, so A x = (row sums of A) has the one solution x = 1
+        x = linalg.solve(QQ, A, [sum(row) for row in A])
+        assert x == [1] * len(A)
+        assert_exact([inv, x])
