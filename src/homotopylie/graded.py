@@ -203,17 +203,6 @@ class GradedMap:
         tgt = tgt if tgt is not None else self.target.shifted(k)
         return GradedMap(src, tgt, self.degree, {d - k: B for d, B in self.blocks.items()})
 
-    def norm(self):
-        """Max absolute entry (field magnitude)."""
-        m = self.field.mag(self.field.zero)
-        for B in self.blocks.values():
-            for row in B:
-                for a in row:
-                    x = self.field.mag(a)
-                    if x > m:
-                        m = x
-        return m
-
     def __repr__(self):
         return "GradedMap(degree=%d, %r -> %r)" % (self.degree, self.source.dims, self.target.dims)
 
@@ -235,7 +224,3 @@ class ChainComplex:
         for d in self.space.degrees():
             out[d] = self.space.dim(d) - rks.get(d, 0) - rks.get(d - 1, 0)
         return out
-
-    def shifted(self, k):
-        sp = self.space.shifted(k)
-        return ChainComplex(sp, self.d.shifted(k, sp, sp), check=False)

@@ -3,13 +3,22 @@
 Operations are stored in the shifted symmetric convention: a family of
 graded symmetric operations q_k of degree +1 on L[1].  The antisymmetric
 picture on L is available through the conversion helpers in
-`multilinear`.  Structure validation squares the induced coderivation on
-symmetric words up to a configurable length.
+`multilinear`.
+
+The operations induce a coderivation Q of the symmetric coalgebra S(L[1]),
+and a morphism's components induce a coalgebra map F.  A tower is valid
+when Q^2 = 0, a morphism when Q_T F = F Q_S.  Q^2 is a coderivation and
+Q_T F - F Q_S a coderivation along F, and such a map of the cofree
+conilpotent cocommutative coalgebra is fixed by its corestriction, its
+length-1 part (Loday-Vallette, Algebraic Operads, ch. 10).  So both
+checks compute only that length-1 part, one word at a time, on the words
+up to a configurable length.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .graded import GradedMap, ChainComplex, vec_clean
 from .multilinear import MultiLinearOp, to_shifted, to_unshifted
@@ -66,18 +75,22 @@ class LInftyAlgebra:
     # ---------------------------------------------------------- validation
 
     def validate(self, n_check=3):
-        """Check that the coderivation induced by the operations squares to
-        zero on all words of length <= n_check."""
-        sp = self.shifted_space
-        if not self.sops:
-            return ValidationReport(True, max_length=n_check)
-        ws = W.enumerate_words(sp, n_check)
-        Q = W.coderivation(self.field, self.sops, ws, sp.degree_of)
-        Q2 = Q @ Q
-        bad = W.first_violation(self.field, Q2, ws)
-        if bad is None:
-            return ValidationReport(True, max_length=n_check)
-        return ValidationReport(False, witness=bad, max_length=n_check)
+        """Check Q^2 = 0 on all words of length <= n_check, Q the
+        coderivation induced by the operations.  Words are scanned in
+        (length, lexicographic) order for the first w with
+        pi_1 Q^2(w) != 0.  Q^2 is a coderivation, so Q^2(w) is a sum of
+        pi_1 Q^2 on subwords of w times the letters left over; on that
+        first w all proper subwords give zero, hence Q^2(w) = pi_1 Q^2(w),
+        and the witness (w, (o,), c) is the first nonzero column of Q^2
+        with its smallest output word."""
+        sp, field = self.shifted_space, self.field
+        evals = _evals(self.sops)
+
+        def square(w):
+            return W.corestriction(field, evals, W.coderivation_column(field, evals, w, sp.degree_of))
+
+        bad = _first_defect(W.enumerate_words(sp, n_check), square)
+        return ValidationReport(bad is None, witness=bad, max_length=n_check)
 
     # ------------------------------------------------------------- tower
 
@@ -151,7 +164,7 @@ class LInftyAlgebra:
             nk = float(nk) if not isinstance(nk, complex) else abs(nk)
             if field.name == "rational-complex":
                 nk = nk ** 0.5  # mag is |.|^2 in that mode
-            val = (nk / W._factorial(k)) ** (1.0 / k)
+            val = (nk / factorial(k)) ** (1.0 / k)
             C = max(C, val)
         if C == 0.0:
             return 0.0, float("inf")
@@ -186,13 +199,31 @@ class LInftyAlgebra:
         return LInftyAlgebra(self.space, out)
 
 
+def _evals(ops):
+    """{k: value of op_k on a canonical word} for a family of operations,
+    each indexed once by input word."""
+    return {k: op.by_word().get for k, op in ops.items()}
+
+
+def _first_defect(words, defect):
+    """(w, (o,), c) for the first word w of `words` with a nonzero
+    length-1 defect, o its smallest output letter and c = defect(w)[o];
+    None if there is none."""
+    for w in words:
+        val = defect(w)
+        if val:
+            o = min(val)
+            return (w, (o,), val[o])
+    return None
+
+
 def taylor_sum(field, ops, x, head=()):
     """sum_k 1/(k - |head|)! op_k(head..., x, ..., x) over a family
     {k: op_k} of symmetric operations."""
     out = {}
     for k, op in ops.items():
         j = k - len(head)
-        c = field.coerce(Fraction(1, W._factorial(j)))
+        c = field.coerce(Fraction(1, factorial(j)))
         for o, v in op.evaluate(list(head) + [x] * j).items():
             out[o] = out.get(o, field.zero) + c * v
     return vec_clean(field, out)
@@ -208,7 +239,7 @@ def twist_family(ops, b, source, target, degree):
             j = m - k
             if j < 0:
                 continue
-            c = source.field.coerce(Fraction(1, W._factorial(j)))
+            c = source.field.coerce(Fraction(1, factorial(j)))
             # b sits in shifted degree 0, so insertion needs no signs
             acc = acc + _partial_insert(op, b, j).scale(c)
         if not acc.is_zero():
@@ -287,17 +318,36 @@ class LInftyMorphism:
         ws = W.enumerate_words(sp, max_len)
         return W.morphism_lift(self.field, self.components, ws, sp.degree_of, tsp.degree_of)
 
+    def corestricted_defect(self):
+        """The function w -> pi_1 (Q_T F - F Q_S)(w) on words over the
+        source's L[1]: the length-1 part of the morphism equation at w, a
+        sparse vector."""
+        field = self.field
+        deg_s = self.source.shifted_space.degree_of
+        deg_t = self.target.shifted_space.degree_of
+        comps = _evals(self.components)
+        q_s, q_t = _evals(self.source.sops), _evals(self.target.sops)
+
+        def at(w):
+            out = W.corestriction(field, q_t, W.morphism_lift_column(field, comps, w, deg_s, deg_t))
+            coder = W.coderivation_column(field, q_s, w, deg_s)
+            for o, c in W.corestriction(field, comps, coder).items():
+                out[o] = out.get(o, field.zero) - c
+            return vec_clean(field, out)
+
+        return at
+
     def defect(self, n_check=3):
-        """Word-level failure of the morphism equation, or None."""
-        ssp = self.source.shifted_space
-        tsp = self.target.shifted_space
-        ws_s = W.enumerate_words(ssp, n_check)
-        ws_t = W.enumerate_words(tsp, n_check)
-        F = self.lift(n_check)
-        Qs = W.coderivation(self.field, self.source.sops, ws_s, ssp.degree_of)
-        Qt = W.coderivation(self.field, self.target.sops, ws_t, tsp.degree_of)
-        D = (Qt @ F) - (F @ Qs)
-        return W.first_violation(self.field, D, ws_s)
+        """First failure of Q_T F = F Q_S on the words of length
+        <= n_check, as (w, (o,), c), or None.  The defect is a coderivation
+        along F: on a word w it sums pi_1 of the defect on one block of a
+        set partition of w times the components on the other blocks.  So,
+        as in `LInftyAlgebra.validate`, on the first w (in length, then
+        lexicographic order) where the corestricted defect is nonzero the
+        whole defect is that length-1 vector, and the witness is its
+        smallest output."""
+        words = W.enumerate_words(self.source.shifted_space, n_check)
+        return _first_defect(words, self.corestricted_defect())
 
     def is_valid(self, n_check=3):
         return self.defect(n_check) is None
@@ -311,18 +361,12 @@ class LInftyMorphism:
         ssp = other.source.shifted_space
         tsp = self.target.shifted_space
         Fhat = other.lift(max_arity)
+        evals = _evals(self.components)
         comps = {}
         for k in range(1, max_arity + 1):
             comp = MultiLinearOp(ssp, tsp, k, 0, "sym")
             for w in W.enumerate_words(ssp, k, k):
-                mid = Fhat.column(w)
-                out = {}
-                for wm, c in mid.items():
-                    if len(wm) in self.components:
-                        val = self.components[len(wm)].eval_basis(wm)
-                        for o, v in val.items():
-                            out[o] = out.get(o, field.zero) + c * v
-                for o, v in out.items():
+                for o, v in W.corestriction(field, evals, Fhat.column(w)).items():
                     comp.add_entry(w, o, v)
             if not comp.is_zero():
                 comps[k] = comp

@@ -8,11 +8,13 @@ Flows always run in float mode; exact algebras are converted first.
 
 from __future__ import annotations
 
-from . import words as W
+from math import factorial
+
 from .scalars import FloatComplexField
 from .graded import GradedSpace, vec_clean
 from .multilinear import MultiLinearOp
 from .linfty import LInftyAlgebra, LInftyMorphism, taylor_sum, twist_family
+from .transfer import _columns, _columns_op
 
 DEFAULT_STEP = 1e-3
 DEDUP_RADIUS = 1e-6
@@ -101,7 +103,7 @@ class _SparseTower:
             # outputs with one term per arity match it bitwise
             for j, v in enumerate(list(head) + [g] * (k - m)):
                 vals = v[idx[:, j]] * vals
-            np.add.at(out, (o, idx[:, -1]) if free_last else o, vals / W._factorial(k - m))
+            np.add.at(out, (o, idx[:, -1]) if free_last else o, vals / factorial(k - m))
         return out
 
     def mc(self, g):
@@ -472,21 +474,10 @@ def homotopy_gauge_action(model, g, mu, max_arity=None):
     # the group action is affine; between the twists at I(mu) and g.I(mu)
     # its derivative ad(g) is a strict morphism
     ad_map = model.ad(g).shifted(1, big.shifted_space, big.shifted_space)
-    f1 = MultiLinearOp(big.shifted_space, big.shifted_space, 1, 0, "sym")
-    for (win, o), c in ad_map_entries(ad_map).items():
-        f1.entries[(win, o)] = c
+    f1 = _columns_op(_columns(ad_map), big.shifted_space, big.shifted_space, 0)
     src_tw = big.twist(Imu).algebra(check_flat=False)
     tgt_tw = big.twist(gImu).algebra(check_flat=False)
     G = LInftyMorphism(src_tw, tgt_tw, {1: f1})
     P_tw = twist_morphism(model.proj, gImu)
     Phi = P_tw.compose(G.compose(I_tw, max_arity), max_arity)
     return star, Phi
-
-
-def ad_map_entries(gmap):
-    out = {}
-    sp = gmap.source
-    for i in range(sp.total_dim):
-        for o, c in gmap.apply({i: gmap.field.one}).items():
-            out[((i,), o)] = c
-    return out

@@ -90,6 +90,14 @@ class MultiLinearOp:
                 out[o] = c if sign == 1 else -c
         return out
 
+    def by_word(self):
+        """The entries indexed by input word, {word: {output: c}}: the
+        values on canonical words, for callers that evaluate many."""
+        out = {}
+        for (w, o), c in self.entries.items():
+            out.setdefault(w, {})[o] = c
+        return out
+
     def evaluate(self, vectors):
         """Value on a list of `arity` sparse vectors.  Koszul reordering
         signs for the scalar coefficients are trivial, so this is a plain
@@ -124,12 +132,6 @@ class MultiLinearOp:
         for (w, o), x in self.entries.items():
             out.entries[(w, o)] = coerce(c * x)
         return out
-
-    def __neg__(self):
-        return self.scale(-self.field.one)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def is_zero(self):
         return not self.entries

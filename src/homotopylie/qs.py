@@ -283,16 +283,13 @@ class MinimalDecomposition:
         base = [MultiPoly.variable(nv, i, f) for i in range(self.n_min)] + [
             MultiPoly.variable(nv, self.n_min + i, f).scale(t) for i in range(self.n_con)
         ]
-        sub_t = [MultiPoly.variable(nv, i, f) for i in range(self.n_min)] + [
-            MultiPoly.variable(nv, self.n_min + i, f).scale(t) for i in range(self.n_con)
-        ]
         bundle = []
         for a in range(rp):
             row = []
             for b in range(rp):
                 row.append(MultiPoly.constant(nv, f.one if a == b else f.zero, f))
             for i in range(self.n_con):
-                Mt = self.M_rows[i][a].substitute(sub_t).scale(t)
+                Mt = self.M_rows[i][a].substitute(base).scale(t)
                 row.append(-self.M_rows[i][a] + Mt)
             bundle.append(row)
         for i in range(self.n_con):

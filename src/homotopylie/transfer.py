@@ -14,8 +14,7 @@ oracles; the engine's structure constants equal `homotopy_transfer`'s
 exactly.
 
 The perturbation series acts on anything map-like (graded maps or sparse
-word maps); in exact modes the Neumann series must terminate, in float
-mode it is truncated once terms fall below a relative tolerance.
+word maps) over an exact field, where the Neumann series must terminate.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .linfty import LInftyAlgebra, LInftyMorphism
 from . import words as W
 
 MAX_NEUMANN_TERMS = 64
-FLOAT_SERIES_TOL = 1e-14
 
 
 class RetractContext:
@@ -74,40 +72,34 @@ class PerturbedRetract:
         self.h = h
 
 
-def _series(field, first, step, max_terms=MAX_NEUMANN_TERMS):
-    """first + step(first) + step(step(first)) + ...  Terminates on exact
-    zero (exact fields) or relative smallness (float)."""
+def _series(first, step, max_terms=MAX_NEUMANN_TERMS):
+    """first + step(first) + step(step(first)) + ..., which must reach an
+    exact zero term."""
     acc = first
     term = first
-    base = first.norm() if not field.exact else None
     for _ in range(max_terms):
         term = step(term)
-        if field.exact:
-            if term.is_zero():
-                return acc
-        else:
-            if term.norm() <= FLOAT_SERIES_TOL * max(1.0, base):
-                return acc
+        if term.is_zero():
+            return acc
         acc = acc + term
-    if field.exact:
-        raise ValueError("perturbation series did not terminate (perturbation not nilpotent)")
-    return acc
+    raise ValueError("perturbation series did not terminate (perturbation not nilpotent)")
 
 
-def hpl_perturb(field, d_small, d_big, i, p, h, mu, check_square=False):
-    """Homological perturbation lemma.  mu is a degree +1 perturbation of
-    d_big with (d_big + mu)^2 = 0.  Returns the perturbed retract."""
+def hpl_perturb(d_small, d_big, i, p, h, mu, check_square=False):
+    """Homological perturbation lemma over an exact field.  mu is a degree
+    +1 perturbation of d_big with (d_big + mu)^2 = 0.  Returns the
+    perturbed retract."""
     if check_square:
         dd = d_big + mu
         if not (dd @ dd).is_zero():
             raise ValueError("(d + mu)^2 != 0")
     hm = h @ mu
     mh = mu @ h
-    i_new = _series(field, i, lambda t: -(hm @ t))
-    p_new = _series(field, p, lambda t: -(t @ mh))
-    h_new = _series(field, h, lambda t: -(hm @ t))
+    i_new = _series(i, lambda t: -(hm @ t))
+    p_new = _series(p, lambda t: -(t @ mh))
+    h_new = _series(h, lambda t: -(hm @ t))
     # d_small' = d_small + p sum_n (-mu h)^n mu i
-    d_small_new = d_small + p @ _series(field, mu @ i, lambda t: -(mh @ t))
+    d_small_new = d_small + p @ _series(mu @ i, lambda t: -(mh @ t))
     return PerturbedRetract(d_small_new, d_big + mu, i_new, p_new, h_new)
 
 
@@ -308,7 +300,7 @@ def homotopy_transfer(alg, ctx, arity_out=3, max_word_len=None):
     Sp = W.word_power(field, one(p_s), dv, degV, degW)
     Sh = W.symmetrized_homotopy(field, one(h_s), one(ip), dv, degV)
 
-    pr = hpl_perturb(field, Q1W, Q1V, Si, Sp, Sh, mu)
+    pr = hpl_perturb(Q1W, Q1V, Si, Sp, Sh, mu)
 
     small = LInftyAlgebra(ctx.small.space, _extract(pr.d_small, Ws, Ws, 1, arity_out))
     inc = LInftyMorphism(small, alg, _extract(pr.i, Ws, Vs, 0, arity_out))
@@ -364,7 +356,7 @@ def tree_transfer(alg, ctx, arity_out=3):
     p_c = _columns(ctx.p.shifted(1, Vs, Ws))
     h_c = _columns(ctx.h.shifted(1, Vs, Vs))
     ip_c = {x: _apply(field, i_c, v) for x, v in p_c.items()}
-    q = {k: _by_word(op) for k, op in alg.sops.items() if k >= 2}
+    q = {k: op.by_word() for k, op in alg.sops.items() if k >= 2}
     signs = {1: field.one, -1: -field.one}
 
     thetas, incs = {}, {}  # memos over words on W[1]
@@ -487,14 +479,6 @@ def _apply(field, cols, v):
     for x, c in v.items():
         _add_into(field, out, cols[x], c)
     return vec_clean(field, out)
-
-
-def _by_word(op):
-    """A symmetric operation indexed by canonical input word."""
-    out = {}
-    for (w, o), c in op.entries.items():
-        out.setdefault(w, {})[o] = c
-    return out
 
 
 def _inverse(images):
@@ -717,21 +701,16 @@ def _solve_arity(source, target, comps, k):
     field = source.field
     Ss = source.shifted_space
     Ts = target.shifted_space
-    ws = W.enumerate_words(Ss, k)
-    wt = W.enumerate_words(Ts, k)
     degS = Ss.degree_of
     degT = Ts.degree_of
 
-    # defect with f_k = 0
+    # the length-1 defect with f_k = 0
     partial = LInftyMorphism(source, target, {a: f for a, f in comps.items() if a < k})
-    F = W.morphism_lift(field, partial.components, ws, degS)
-    Qs = W.coderivation(field, source.sops, ws, degS)
-    Qt = W.coderivation(field, target.sops, wt, degT)
-    D = (Qt @ F) - (F @ Qs)
+    defect = partial.corestricted_defect()
 
     # unknown f_k contributes  q1_t f_k(w) - f_k(Q1_s-part of w)  on
     # length-k words; assemble one global linear system
-    kwords = [w for w in ws if len(w) == k]
+    kwords = W.enumerate_words(Ss, k, k)
     unknown_index = {}
     cells = []  # (word, output index)
     for w in kwords:
@@ -744,12 +723,11 @@ def _solve_arity(source, target, comps, k):
     rows = []
     rhs = []
     q1t = target.sops.get(1)
-    Q1s = W.coderivation(
-        field, {1: source.sops[1]} if 1 in source.sops else {}, kwords, degS
-    ) if 1 in source.sops else None
+    q1s = {1: source.sops[1].eval_basis} if 1 in source.sops else {}
 
     for w in kwords:
-        dcol = D.cols.get(w, {})
+        dcol = defect(w)
+        q1s_col = W.coderivation_column(field, q1s, w, degS)
         # outputs live in length-1 words of degree wdeg+1
         wdeg = W.word_degree(w, degS)
         for o in range(Ts.total_dim):
@@ -764,16 +742,12 @@ def _solve_arity(source, target, comps, k):
                         if key in unknown_index:
                             row[unknown_index[key]] = row[unknown_index[key]] + c
             # - f_k(Q1_s w)
-            if Q1s is not None:
-                col = Q1s.cols.get(w, {})
-                for w2, c in col.items():
-                    if len(w2) == k:
-                        key = (w2, o)
-                        if key in unknown_index:
-                            row[unknown_index[key]] = row[unknown_index[key]] - c
-            b = dcol.get((o,), field.zero)
+            for w2, c in q1s_col.items():
+                key = (w2, o)
+                if key in unknown_index:
+                    row[unknown_index[key]] = row[unknown_index[key]] - c
             rows.append(row)
-            rhs.append(-b)
+            rhs.append(-dcol.get(o, field.zero))
     if not cells:
         return MultiLinearOp(Ss, Ts, k, 0, "sym")
     sol = linalg.solve(field, rows, rhs)

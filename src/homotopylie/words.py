@@ -2,14 +2,24 @@
 
 A word is a sorted tuple of basis indices; words containing a repeated
 generator of odd degree are zero and never appear as keys.  Linear maps
-between word spaces are column-sparse dicts.  This is the engine behind
-structure validation (coderivation squares) and homotopy transfer.
+between word spaces are column-sparse dicts.
+
+The structure checks read one column at a time: `coderivation_column`
+and `morphism_lift_column` give the image of a single word, and
+`corestriction` keeps the length-1 part of an operation family applied
+to such a column.  A coderivation of the cofree conilpotent cocommutative
+coalgebra (or a coderivation along a morphism) is fixed by its
+corestriction, so that length-1 part is all the identities Q^2 = 0 and
+Q_T F = F Q_S need.  The whole-map builders (`coderivation`,
+`morphism_lift`, `word_power`, `symmetrized_homotopy`, `WordMap`) serve
+the perturbation-lemma oracle and `LInftyMorphism.lift`.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, permutations, product
 from fractions import Fraction
+from math import factorial
 
 from .multilinear import koszul_sort, repeat_kills
 
@@ -99,9 +109,6 @@ class WordMap:
                 out.add_to(w, wo, c)
         return out
 
-    def __sub__(self, other):
-        return self + other.scale(-self.field.one)
-
     def __neg__(self):
         return self.scale(-self.field.one)
 
@@ -115,25 +122,6 @@ class WordMap:
     def is_zero(self):
         z = self.field.is_zero
         return all(z(c) for col in self.cols.values() for c in col.values())
-
-    def norm(self):
-        m = self.field.mag(self.field.zero)
-        for col in self.cols.values():
-            for c in col.values():
-                a = self.field.mag(c)
-                if a > m:
-                    m = a
-        return m
-
-    @classmethod
-    def identity(cls, field, words):
-        out = cls(field)
-        for w in words:
-            out.cols[w] = {w: field.one}
-        return out
-
-    def eq(self, other):
-        return (self - other).is_zero()
 
 
 def _select_sign(word, positions, deg_of):
@@ -186,6 +174,21 @@ def coderivation_column(field, evals, w, deg_of):
                 c = c if sgn * s2 == 1 else -c
                 out[wo] = out.get(wo, field.zero) + c
     return {wo: c for wo, c in out.items() if not field.is_zero(c)}
+
+
+def corestriction(field, evals, column):
+    """The length-1 part of an operation family applied to a word vector:
+    sum over the words u of `column` of column[u] * evals[len(u)](u), as a
+    sparse vector over letters.  evals[k] maps a word to a sparse vector,
+    or empty/None; words of a length without an operation contribute
+    nothing."""
+    out = {}
+    for u, c in column.items():
+        ev = evals.get(len(u))
+        val = ev(u) if ev is not None else None
+        for o, v in (val or {}).items():
+            out[o] = out.get(o, field.zero) + c * v
+    return {o: v for o, v in out.items() if not field.is_zero(v)}
 
 
 def coderivation_preimages(inputs, u, deg_of):
@@ -269,7 +272,7 @@ def symmetrized_homotopy(field, apply_h, apply_ip, words, deg_of):
 
     for w in words:
         n = len(w)
-        inv_fact = field.coerce(Fraction(1, _factorial(n)))
+        inv_fact = field.coerce(Fraction(1, factorial(n)))
         acc = {}
         for perm in permutations(range(n)):
             ps = _perm_sign(w, perm, deg_of)
@@ -333,7 +336,7 @@ def symmetrized_homotopy_column(field, H, IP, w, deg_of):
                     wo, s2 = canon_word(u + tail, deg_of)
                     if wo is not None:
                         acc[wo] = acc.get(wo, field.zero) + (c if sgn * s2 == 1 else -c)
-        weight = field.coerce(Fraction(_factorial(r) * _factorial(n - 1 - r), _factorial(n)))
+        weight = field.coerce(Fraction(factorial(r) * factorial(n - 1 - r), factorial(n)))
         for wo, c in acc.items():
             out[wo] = out.get(wo, field.zero) + c * weight
     return {wo: c for wo, c in out.items() if not field.is_zero(c)}
@@ -359,13 +362,6 @@ def symmetrized_homotopy_preimages(H, IP, u, deg_of):
                         yield w
 
 
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
 def _set_partitions(items):
     """All set partitions of a list, blocks ordered by smallest element."""
     if not items:
@@ -382,48 +378,38 @@ def _set_partitions(items):
 
 def morphism_lift(field, components, words, deg_of, deg_out=None):
     """Lift morphism components {k: symmetric degree-0 op} to the induced
-    map of word spaces (sum over unordered set partitions)."""
-    if deg_out is None:
-        deg_out = deg_of
+    map of word spaces."""
+    evals = {k: f.eval_basis for k, f in components.items()}
     F = WordMap(field)
     for w in words:
-        n = len(w)
-        acc = {}
-        for part in _set_partitions(list(range(n))):
-            if any(len(b) not in components for b in part):
-                continue
-            blocks = [sorted(b) for b in part]
-            blocks.sort(key=lambda b: b[0])
-            order = [p for b in blocks for p in b]
-            sgn = _perm_sign(w, tuple(order), deg_of)
-            vecs = []
-            ok = True
-            for b in blocks:
-                val = components[len(b)].eval_basis(tuple(w[p] for p in b))
-                if not val:
-                    ok = False
-                    break
-                vecs.append(val)
-            if not ok:
-                continue
-            col = _expand_product(field, vecs, deg_out)
-            for wo, c in col.items():
-                acc[wo] = acc.get(wo, field.zero) + (c if sgn == 1 else -c)
-        col = {wo: c for wo, c in acc.items() if not field.is_zero(c)}
+        col = morphism_lift_column(field, evals, w, deg_of, deg_out)
         if col:
             F.cols[w] = col
     return F
 
 
-def first_violation(field, M, words):
-    """First nonzero column of M scanning `words` in order; returns
-    (input word, output word, coefficient) or None."""
-    for w in words:
-        col = M.cols.get(w)
-        if not col:
+def morphism_lift_column(field, evals, w, deg_of, deg_out=None):
+    """The lifted morphism's column at the word w: the sum over unordered
+    set partitions of w of the product of the component values
+    evals[|B|](B) on its blocks B."""
+    if deg_out is None:
+        deg_out = deg_of
+    acc = {}
+    for part in _set_partitions(list(range(len(w)))):
+        if any(len(b) not in evals for b in part):
             continue
-        live = {wo: c for wo, c in col.items() if not field.is_zero(c)}
-        if live:
-            wo = min(live)
-            return (w, wo, live[wo])
-    return None
+        blocks = [sorted(b) for b in part]
+        blocks.sort(key=lambda b: b[0])
+        order = [p for b in blocks for p in b]
+        sgn = _perm_sign(w, tuple(order), deg_of)
+        vecs = []
+        for b in blocks:
+            val = evals[len(b)](tuple(w[p] for p in b))
+            if not val:
+                break
+            vecs.append(val)
+        else:
+            col = _expand_product(field, vecs, deg_out)
+            for wo, c in col.items():
+                acc[wo] = acc.get(wo, field.zero) + (c if sgn == 1 else -c)
+    return {wo: c for wo, c in acc.items() if not field.is_zero(c)}

@@ -102,7 +102,7 @@ def test_c02_hpl_identities_exact_on_perturbed_retracts():
         rng = random.Random(200 + i)
         ctx, mu = block_perturbed_context(rng)
         assert ctx.big.space.total_dim <= 12
-        pr = hpl_perturb(QQ, ctx.small.d, ctx.big.d, ctx.i, ctx.p, ctx.h, mu)
+        pr = hpl_perturb(ctx.small.d, ctx.big.d, ctx.i, ctx.p, ctx.h, mu)
         idW = GradedMap.identity(ctx.small.space)
         idV = GradedMap.identity(ctx.big.space)
         assert (pr.d_big @ pr.i).eq(pr.i @ pr.d_small)

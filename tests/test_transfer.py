@@ -105,7 +105,7 @@ def test_hpl_five_identities():
     rng = random.Random(11)
     for _ in range(6):
         ctx, mu = block_perturbed_context(rng)
-        pr = hpl_perturb(QQ, ctx.small.d, ctx.big.d, ctx.i, ctx.p, ctx.h, mu)
+        pr = hpl_perturb(ctx.small.d, ctx.big.d, ctx.i, ctx.p, ctx.h, mu)
         idW = GradedMap.identity(ctx.small.space)
         idV = GradedMap.identity(ctx.big.space)
         assert (pr.d_big @ pr.i).eq(pr.i @ pr.d_small)
