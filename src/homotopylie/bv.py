@@ -138,7 +138,7 @@ def _quasi_iso_square(field, J, sigma_pt, n, r):
     return True, None
 
 
-def validate_bv(bv, points=None, window=(1, 2), tol=None):
+def validate_bv(bv, points=None, window=(1, 2)):
     """The three BV axioms plus the quasi-smoothness precondition.
     Triangle and gauge invariance are exact polynomial identities; the
     tangent-cotangent quasi-isomorphism is checked pointwise."""
@@ -201,8 +201,8 @@ def validate_bv(bv, points=None, window=(1, 2), tol=None):
         vals = [q.evaluate(p) for q in lam]
         if any(not field.is_zero(v) for v in vals):
             continue  # only MC points constrain the square
-        J = eval_matrix(field, Jpolys, p)
-        sig = eval_matrix(field, bv.sigma, p)
+        J = eval_matrix(Jpolys, p)
+        sig = eval_matrix(bv.sigma, p)
         good, detail = _quasi_iso_square(field, J, sig, n, r)
         if not good:
             ok_qi = False
@@ -279,8 +279,8 @@ def check_shifted_symplectic(alg, omega, points=None):
     for p in pts:
         if any(not field.is_zero(q.evaluate(p)) for q in lam):
             continue
-        J = eval_matrix(field, Jpolys, p)
-        W = eval_matrix(field, omega, p)
+        J = eval_matrix(Jpolys, p)
+        W = eval_matrix(omega, p)
         good, detail = _quasi_iso_square(field, J, W, n, r)
         if not good:
             return False, ("degenerate", (p, detail))
@@ -394,7 +394,7 @@ def metric_vanishes_on_gauge_directions(ms, alg, points=None):
     for p in pts:
         if any(not field.is_zero(q.evaluate(p)) for q in lam):
             continue
-        J = eval_matrix(field, Jp, p)
+        J = eval_matrix(Jp, p)
         kern = linalg.kernel_basis(field, J, n)
         for u in kern:
             for v in kern:
@@ -516,7 +516,7 @@ def check_bv_orientable(oc, tol=1e-9):
             for w, t in adj.get(v, []):
                 s = edge_sign(v, w, t)
                 if s is None:
-                    return False, _cycle_to(parent, start, v) + [w]
+                    return False, _cycle_to(parent, v) + [w]
                 if eps[w] is None:
                     eps[w] = eps[v] * s
                     parent[w] = v
@@ -563,5 +563,5 @@ def _path_to_root(parent, v):
     return out
 
 
-def _cycle_to(parent, start, v):
+def _cycle_to(parent, v):
     return list(reversed(_path_to_root(parent, v)))

@@ -12,7 +12,9 @@ Q_T F - F Q_S a coderivation along F, and such a map of the cofree
 conilpotent cocommutative coalgebra is fixed by its corestriction, its
 length-1 part (Loday-Vallette, Algebraic Operads, ch. 10).  So both
 checks compute only that length-1 part, one word at a time, on the words
-up to a configurable length.
+up to a configurable length.  The first half of the morphism check,
+pi_1 Q_T F, and the composite of two morphisms, pi_1 G F, are one sum
+over the set partitions of a word, `words.composite_column`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class ValidationReport:
 
 
 class LInftyAlgebra:
-    def __init__(self, space, sops, check=False, n_check=3):
+    def __init__(self, space, sops):
         """space: unshifted graded space; sops: {arity: symmetric degree +1
         operation on space.shifted(1)}."""
         self.space = space
@@ -50,17 +52,13 @@ class LInftyAlgebra:
         self.sops = {k: op for k, op in sops.items() if not op.is_zero()}
         for k, op in self.sops.items():
             assert op.arity == k and op.degree == 1 and op.symmetry == "sym"
-        if check:
-            rep = self.validate(n_check)
-            if not rep.ok:
-                raise ValueError("structure maps fail Jacobi: %r" % rep)
 
     @classmethod
-    def from_unshifted_ops(cls, space, ops, **kw):
+    def from_unshifted_ops(cls, space, ops):
         """ops: {k: antisymmetric arity-k operation of degree 2-k on L}."""
         ssp = space.shifted(1)
         sops = {k: to_shifted(op, ssp, ssp) for k, op in ops.items()}
-        return cls(space, sops, **kw)
+        return cls(space, sops)
 
     @property
     def max_arity(self):
@@ -312,12 +310,6 @@ class LInftyMorphism:
         """Linearization at mu: x -> sum_j 1/j! f_{1+j}(x, mu, ..., mu)."""
         return lambda x: taylor_sum(self.field, self.components, mu, head=(x,))
 
-    def lift(self, max_len):
-        sp = self.source.shifted_space
-        tsp = self.target.shifted_space
-        ws = W.enumerate_words(sp, max_len)
-        return W.morphism_lift(self.field, self.components, ws, sp.degree_of, tsp.degree_of)
-
     def corestricted_defect(self):
         """The function w -> pi_1 (Q_T F - F Q_S)(w) on words over the
         source's L[1]: the length-1 part of the morphism equation at w, a
@@ -329,7 +321,7 @@ class LInftyMorphism:
         q_s, q_t = _evals(self.source.sops), _evals(self.target.sops)
 
         def at(w):
-            out = W.corestriction(field, q_t, W.morphism_lift_column(field, comps, w, deg_s, deg_t))
+            out = W.composite_column(field, q_t, comps, w, deg_s, deg_t)
             coder = W.coderivation_column(field, q_s, w, deg_s)
             for o, c in W.corestriction(field, comps, coder).items():
                 out[o] = out.get(o, field.zero) - c
@@ -353,20 +345,23 @@ class LInftyMorphism:
         return self.defect(n_check) is None
 
     def compose(self, other, max_arity=None):
-        """self after other."""
+        """self after other.  Its arity-k component at a word w of length
+        k is pi_1 G F(w), one `words.composite_column`: the sum over set
+        partitions of w of +- g_|P|(f(B_1), ..., f(B_|P|))."""
         assert other.target is self.source or other.target.space.dims == self.source.space.dims
         if max_arity is None:
             max_arity = max(self.max_arity, other.max_arity, 1)
         field = self.field
         ssp = other.source.shifted_space
         tsp = self.target.shifted_space
-        Fhat = other.lift(max_arity)
-        evals = _evals(self.components)
+        outer = _evals(self.components)
+        inner = _evals(other.components)
+        deg_mid = other.target.shifted_space.degree_of
         comps = {}
         for k in range(1, max_arity + 1):
             comp = MultiLinearOp(ssp, tsp, k, 0, "sym")
             for w in W.enumerate_words(ssp, k, k):
-                for o, v in W.corestriction(field, evals, Fhat.column(w)).items():
+                for o, v in W.composite_column(field, outer, inner, w, ssp.degree_of, deg_mid).items():
                     comp.add_entry(w, o, v)
             if not comp.is_zero():
                 comps[k] = comp

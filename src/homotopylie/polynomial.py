@@ -238,7 +238,7 @@ def jacobian(polys, nvars):
     return [[p.diff(j) for j in range(nvars)] for p in polys]
 
 
-def eval_matrix(field, mat, point):
+def eval_matrix(mat, point):
     return [[p.evaluate(point) if isinstance(p, MultiPoly) else p for p in row] for row in mat]
 
 

@@ -42,7 +42,7 @@ class QsSpace:
 
     def jacobian_at(self, point):
         J = jacobian(self.section, self.nvars)
-        return eval_matrix(self.field, J, point)
+        return eval_matrix(J, point)
 
     def dg_tangent(self, point=None):
         """Two-term tangent complex (degrees 1 -> 2) at a classical point."""
@@ -125,10 +125,10 @@ class QsMorphism:
 
     def base_jacobian_at(self, point):
         J = jacobian(self.base, self.source.nvars)
-        return eval_matrix(self.field, J, point)
+        return eval_matrix(J, point)
 
     def bundle_at(self, point):
-        return eval_matrix(self.field, self.bundle, point)
+        return eval_matrix(self.bundle, point)
 
     def push_point(self, point):
         return [p.evaluate(point) for p in self.base]
@@ -385,19 +385,18 @@ def _polynomial_linearizers(qs, deg_bound):
     return out
 
 
-def minimal_decomposition(qs, deg_bound=None, strict=True):
+def minimal_decomposition(qs):
     """Adapt coordinates so the section splits as (lam_tilde(z,n), n) and
     return the associated minimal model decomposition.
 
     The fiber coordinates n are linear forms that lie in the polynomial
-    row span of the section; for sections where only a truncated row
-    reduction exists this raises (strict) or is not attempted."""
+    row span of the section, found by polynomial linearizers of degree
+    up to the section's degree; if too few exist this raises ValueError."""
     field = qs.field
     n, r = qs.nvars, qs.rank
     D = qs.linear_part()
     r2 = linalg.rank(field, D) if D and D[0] else 0
-    if deg_bound is None:
-        deg_bound = max(p.degree() for p in qs.section)
+    deg_bound = max(p.degree() for p in qs.section)
     if r2 == 0:
         return MinimalDecomposition(qs, qs, qs, linalg.identity(field, n),
                                     None, [], n, 0, exact=True)

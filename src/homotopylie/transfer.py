@@ -336,7 +336,7 @@ def tree_transfer(alg, ctx, arity_out=3):
 
     With mu the coderivation of the q_k, k >= 2, the series satisfy
     I = S(i) - S(h) mu I and P = S(p) - P mu S(h).  On a word w over W[1]
-    the first gives the tree recursion
+    the first gives the tree recursion (`words.composite_column`)
       theta(w) = sum over set partitions of w into k >= 2 blocks of
                  +- q_k(I(B_1), ..., I(B_k)),
       I(x) = i(x),  I(w) = -h theta(w) for |w| >= 2,
@@ -357,27 +357,13 @@ def tree_transfer(alg, ctx, arity_out=3):
     h_c = _columns(ctx.h.shifted(1, Vs, Vs))
     ip_c = {x: _apply(field, i_c, v) for x, v in p_c.items()}
     q = {k: op.by_word() for k, op in alg.sops.items() if k >= 2}
-    signs = {1: field.one, -1: -field.one}
-
+    q_evals = {k: index.get for k, index in q.items()}
     thetas, incs = {}, {}  # memos over words on W[1]
 
     def theta(w):
-        if w in thetas:
-            return thetas[w]
-        out = {}
-        for part in W._set_partitions(list(range(len(w)))):
-            index = q.get(len(part))
-            if index is None:
-                continue
-            # each block is sorted; order the blocks by smallest position
-            blocks = sorted(part, key=lambda b: b[0])
-            vecs = [inclusion(tuple(w[t] for t in b)) for b in blocks]
-            if not all(vecs):
-                continue
-            sgn = W._perm_sign(w, tuple(t for b in blocks for t in b), degW)
-            _add_into(field, out, _evaluate(field, index, vecs, degV), signs[sgn])
-        thetas[w] = out = vec_clean(field, out)
-        return out
+        if w not in thetas:
+            thetas[w] = W.composite_column(field, q_evals, blocks, w, degW, degV)
+        return thetas[w]
 
     def inclusion(w):
         if len(w) == 1:
@@ -385,8 +371,11 @@ def tree_transfer(alg, ctx, arity_out=3):
         if w not in incs:
             # I has degree 0: a word of a degree V[1] lacks maps to zero
             ok = W.word_degree(w, degW) in Vs.dims
-            incs[w] = _neg(field, _apply(field, h_c, theta(w))) if ok else {}
+            incs[w] = _neg(_apply(field, h_c, theta(w))) if ok else {}
         return incs[w]
+
+    # q has no arity 1, so every block of a word is shorter than the word
+    blocks = {k: inclusion for k in range(1, arity_out)}
 
     sops = {}
     if not ctx.small.d.is_zero():
@@ -403,7 +392,6 @@ def tree_transfer(alg, ctx, arity_out=3):
                 f.add_entry(w, o, c)
         sops[k], inc[k] = op, f
 
-    mu_evals = {k: index.get for k, index in q.items()}
     f_mus, projs = {}, {}  # memos over words on V[1]
 
     def f_mu(u):
@@ -411,7 +399,7 @@ def tree_transfer(alg, ctx, arity_out=3):
         output words."""
         if u not in f_mus:
             out = {}
-            for u2, c in W.coderivation_column(field, mu_evals, u, degV).items():
+            for u2, c in W.coderivation_column(field, q_evals, u, degV).items():
                 _add_into(field, out, projection(u2), c)
             f_mus[u] = vec_clean(field, out)
         return f_mus[u]
@@ -491,16 +479,6 @@ def _inverse(images):
     return out
 
 
-def _evaluate(field, index, vectors, deg_of):
-    """An indexed operation on sparse vectors (see MultiLinearOp.evaluate)."""
-    out = {}
-    for u, c in W._expand_product(field, vectors, deg_of).items():
-        val = index.get(u)
-        if val:
-            _add_into(field, out, val, c)
-    return out
-
-
 def _add_into(field, acc, v, c):
     """acc += c v for sparse vectors."""
     zero = field.zero
@@ -542,7 +520,7 @@ def dgla_tree_transfer(alg, ctx, arity_out=3):
         if n == 1:
             v = i_s.apply({word[0]: field.one})
         else:
-            v = _neg(field, h_s.apply(theta(word)))
+            v = _neg(h_s.apply(theta(word)))
         Icomp[word] = v
         return v
 
@@ -582,7 +560,7 @@ def dgla_tree_transfer(alg, ctx, arity_out=3):
     return ops
 
 
-def _neg(field, v):
+def _neg(v):
     return {k: -c for k, c in v.items()}
 
 

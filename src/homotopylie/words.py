@@ -5,14 +5,19 @@ generator of odd degree are zero and never appear as keys.  Linear maps
 between word spaces are column-sparse dicts.
 
 The structure checks read one column at a time: `coderivation_column`
-and `morphism_lift_column` give the image of a single word, and
-`corestriction` keeps the length-1 part of an operation family applied
-to such a column.  A coderivation of the cofree conilpotent cocommutative
-coalgebra (or a coderivation along a morphism) is fixed by its
-corestriction, so that length-1 part is all the identities Q^2 = 0 and
-Q_T F = F Q_S need.  The whole-map builders (`coderivation`,
-`morphism_lift`, `word_power`, `symmetrized_homotopy`, `WordMap`) serve
-the perturbation-lemma oracle and `LInftyMorphism.lift`.
+gives the image of a single word, and `corestriction` keeps the
+length-1 part of an operation family applied to such a column.  A
+coderivation of the cofree conilpotent cocommutative coalgebra (or a
+coderivation along a morphism) is fixed by its corestriction, so that
+length-1 part is all the identities Q^2 = 0 and Q_T F = F Q_S need.
+
+A coalgebra map is fixed the same way, and the length-1 part of an
+operation family after S(inner) is one sum over set partitions,
+`composite_column`.  It is the transfer's tree recursion theta, the
+first half of a morphism's defect and the composite of two morphisms.
+The whole-map builders (`coderivation`, `morphism_lift`, `word_power`,
+`symmetrized_homotopy`, `WordMap`) serve only the perturbation-lemma
+oracle and the tests.
 """
 
 from __future__ import annotations
@@ -363,53 +368,59 @@ def symmetrized_homotopy_preimages(H, IP, u, deg_of):
 
 
 def _set_partitions(items):
-    """All set partitions of a list, blocks ordered by smallest element."""
+    """All set partitions of a list, each block in list order and the
+    blocks ordered by their first element."""
     if not items:
         yield []
         return
     first, rest = items[0], items[1:]
     for part in _set_partitions(rest):
-        # first joins an existing block
+        # first joins an existing block, which then comes first
         for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+            yield [[first] + part[i]] + part[:i] + part[i + 1 :]
         # first alone
         yield [[first]] + part
 
 
-def morphism_lift(field, components, words, deg_of, deg_out=None):
+def composite_column(field, outer, inner, w, deg_of, deg_mid):
+    """pi_1 of (outer after S(inner)) at the word w, for two families
+    {k: canonical word of k letters -> sparse vector, or empty/None}: the
+    sum over set partitions P of w, with |P| an arity of outer, of
+    +- outer[|P|](inner[|B_1|](B_1), ..., inner[|B_k|](B_k)), with the
+    Koszul sign of sorting w into its blocks.  deg_mid grades the letters
+    of the inner values.  This is the transfer's theta, the first half of
+    a morphism's defect and the composite of two morphisms."""
+    acc = {}
+    for part in _set_partitions(list(range(len(w)))):
+        ev = outer.get(len(part))
+        if ev is None:
+            continue
+        vecs = []
+        for b in part:
+            f = inner.get(len(b))
+            v = f(tuple(w[p] for p in b)) if f is not None else None
+            if not v:
+                break
+            vecs.append(v)
+        else:
+            sgn = _perm_sign(w, tuple(p for b in part for p in b), deg_of)
+            for u, c in _expand_product(field, vecs, deg_mid).items():
+                val = ev(u)
+                if val:
+                    c = c if sgn == 1 else -c
+                    for o, x in val.items():
+                        acc[o] = acc.get(o, field.zero) + c * x
+    return {o: c for o, c in acc.items() if not field.is_zero(c)}
+
+
+def morphism_lift(field, components, words, deg_of, deg_out):
     """Lift morphism components {k: symmetric degree-0 op} to the induced
-    map of word spaces."""
-    evals = {k: f.eval_basis for k, f in components.items()}
+    map of word spaces: `composite_column` with outer[k](u) = u."""
+    inner = {k: f.eval_basis for k, f in components.items()}
+    outer = {k: lambda u: {u: field.one} for k in range(1, max(map(len, words), default=0) + 1)}
     F = WordMap(field)
     for w in words:
-        col = morphism_lift_column(field, evals, w, deg_of, deg_out)
+        col = composite_column(field, outer, inner, w, deg_of, deg_out)
         if col:
             F.cols[w] = col
     return F
-
-
-def morphism_lift_column(field, evals, w, deg_of, deg_out=None):
-    """The lifted morphism's column at the word w: the sum over unordered
-    set partitions of w of the product of the component values
-    evals[|B|](B) on its blocks B."""
-    if deg_out is None:
-        deg_out = deg_of
-    acc = {}
-    for part in _set_partitions(list(range(len(w)))):
-        if any(len(b) not in evals for b in part):
-            continue
-        blocks = [sorted(b) for b in part]
-        blocks.sort(key=lambda b: b[0])
-        order = [p for b in blocks for p in b]
-        sgn = _perm_sign(w, tuple(order), deg_of)
-        vecs = []
-        for b in blocks:
-            val = evals[len(b)](tuple(w[p] for p in b))
-            if not val:
-                break
-            vecs.append(val)
-        else:
-            col = _expand_product(field, vecs, deg_out)
-            for wo, c in col.items():
-                acc[wo] = acc.get(wo, field.zero) + (c if sgn == 1 else -c)
-    return {wo: c for wo, c in acc.items() if not field.is_zero(c)}

@@ -1,6 +1,7 @@
 """Dead-code guard: every function, method and class defined in the
-package is used somewhere in the repository, and no module of the
-package imports a name it never uses.
+package is used somewhere in the repository, no module of the package
+imports a name it never uses, and no function of the package takes a
+parameter its body never reads.
 
 A name counts as used when it occurs, outside its own definition, as a
 name, an attribute, an imported name or a string constant (the benchmark
@@ -76,9 +77,33 @@ def unused_imports():
     return unused
 
 
+def unread_parameters():
+    """Parameters (`self` and `cls` apart) that a package function's body
+    never reads; a nested function reading one counts as a read."""
+    unread = []
+    for path, tree in _trees(["src"]):
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+            read = {
+                n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            for p in params:
+                if p.arg not in ("self", "cls") and p.arg not in read:
+                    unread.append("%s:%d %s(%s)" % (path.name, node.lineno, node.name, p.arg))
+    return unread
+
+
 def test_no_unreferenced_definitions():
     assert unreferenced_definitions() == []
 
 
 def test_no_unused_imports_in_the_package():
     assert unused_imports() == []
+
+
+def test_no_unread_parameters_in_the_package():
+    assert unread_parameters() == []
