@@ -51,10 +51,6 @@ def float_vector(field, x):
     return {i: field.coerce(c) for i, c in x.items()}
 
 
-def vec_max_norm(x):
-    return max((abs(c) for c in x.values()), default=0.0)
-
-
 def vec_dist(x, y):
     keys = set(x) | set(y)
     return max((abs(x.get(i, 0j) - y.get(i, 0j)) for i in keys), default=0.0)
@@ -90,19 +86,19 @@ class _SparseTower:
             idx = np.array(rows, dtype=np.intp).reshape(len(rows), k)
             self.plan[k] = (idx, np.array(outs, dtype=np.intp), np.array(coefs, dtype=complex))
 
-    def _taylor(self, g, head=(), free_last=False):
-        """sum_k 1/(k-m)! l_k(head..., g, ..., g), m = len(head); with
-        free_last, the last input stays free and the result is the
-        (out, in) matrix of sum_k 1/(k-1)! l_k(g, ..., g, -)."""
+    def _taylor(self, g, free_last=False):
+        """sum_k 1/k! l_k(g, ..., g); with free_last, the last input stays
+        free and the result is the (out, in) matrix of
+        sum_k 1/(k-1)! l_k(g, ..., g, -)."""
         import numpy as np
 
-        m = len(head) + free_last
+        m = int(free_last)
         out = np.zeros((self.n, self.n) if free_last else self.n, dtype=complex)
         for k, (idx, o, vals) in self.plan.items():
             # product order as in the tensor contraction of the test oracle:
             # outputs with one term per arity match it bitwise
-            for j, v in enumerate(list(head) + [g] * (k - m)):
-                vals = v[idx[:, j]] * vals
+            for j in range(k - m):
+                vals = g[idx[:, j]] * vals
             np.add.at(out, (o, idx[:, -1]) if free_last else o, vals / factorial(k - m))
         return out
 
@@ -119,9 +115,28 @@ class _SparseTower:
         """Jacobian of the Maurer-Cartan function at g, shape (out, in)."""
         return self._taylor(g, free_last=True)
 
-    def anchor_rate(self, g, e):
-        """sum_k 1/(k-1)! l_k(e, g, ..., g) as a dense vector."""
-        return self._taylor(g, head=(e,))
+    def anchor(self, e):
+        """The anchor at a fixed gauge parameter e, as the function
+        g -> sum_k 1/(k-1)! l_k(e, g, ..., g).  The first input is
+        contracted here, once; each call gathers only the g inputs.  e and
+        g may carry the same leading batch axis, one flow per row."""
+        import numpy as np
+
+        rows = np.arange(e.shape[0] if e.ndim == 2 else 1)[:, None] * self.n
+        plan = [
+            (idx[:, 1:], (rows + o).reshape(-1), e[..., idx[:, 0]] * coef, factorial(k - 1))
+            for k, (idx, o, coef) in self.plan.items()
+        ]
+
+        def rate(g):
+            out = np.zeros(e.shape, dtype=complex)
+            for idx, flat, vals, f in plan:
+                for j in range(idx.shape[1]):
+                    vals = g[..., idx[:, j]] * vals
+                np.add.at(out.reshape(-1), flat, (vals / f).reshape(-1))
+            return out
+
+        return rate
 
 
 def _dense_tower(alg):
@@ -242,6 +257,20 @@ def _anchor_apply(alg, gamma, eta):
     return taylor_sum(alg.field, alg.sops, gamma, head=(eta,))
 
 
+def _rk4_step(rhs, t, g, h):
+    """One classical Runge-Kutta step of g' = rhs(t, g)."""
+    k1 = rhs(t, g)
+    k2 = rhs(t + h / 2, g + k1 * (h / 2))
+    k3 = rhs(t + h / 2, g + k2 * (h / 2))
+    k4 = rhs(t + h, g + k3 * h)
+    return g + (k1 + 2 * k2 + 2 * k3 + k4) * (h / 6)
+
+
+def _n_steps(step, t_end):
+    n_steps = max(1, int(round(t_end / step)))
+    return n_steps, t_end / n_steps
+
+
 def gauge_flow(alg, mu, eta, step=DEFAULT_STEP, t_end=1.0, radius=None, n_samples=11):
     """Integrate gamma' = -anchor(gamma)(eta) from mu by fixed-step RK4.
 
@@ -256,22 +285,19 @@ def gauge_flow(alg, mu, eta, step=DEFAULT_STEP, t_end=1.0, radius=None, n_sample
     def eta_at(t):
         return const if const is not None else _to_dense(tower.n, float_vector(field, eta(t)))
 
-    def rhs(t, g):
-        return -tower.anchor_rate(g, eta_at(t))
+    fixed = None if const is None else tower.anchor(const)
 
-    n_steps = max(1, int(round(t_end / step)))
-    h = t_end / n_steps
+    def rhs(t, g):
+        return -(fixed if fixed is not None else tower.anchor(eta_at(t)))(g)
+
+    n_steps, h = _n_steps(step, t_end)
     sample_every = max(1, n_steps // max(1, n_samples - 1))
     g = _to_dense(tower.n, float_vector(field, mu))
     times, samples, etas = [0.0], [_to_dict(g)], [_to_dict(eta_at(0.0))]
     ok = True
     for s in range(n_steps):
         t = s * h
-        k1 = rhs(t, g)
-        k2 = rhs(t + h / 2, g + k1 * (h / 2))
-        k3 = rhs(t + h / 2, g + k2 * (h / 2))
-        k4 = rhs(t + h, g + k3 * h)
-        g = g + (k1 + 2 * k2 + 2 * k3 + k4) * (h / 6)
+        g = _rk4_step(rhs, t, g, h)
         if radius is not None and float(np.max(np.abs(g))) > radius:
             ok = False
             times.append(t + h)
@@ -353,42 +379,55 @@ class NerveGraph:
         return "\n".join(lines) + "\n"
 
 
-def _shoot_edge(alg, v_from, v_to, step, max_iter=12, tol=1e-6, fd=1e-6):
-    """Search for a constant gauge parameter whose time-1 flow connects
-    two vertices; Gauss-Newton with finite-difference sensitivities."""
+def _max_abs(v):
+    return max((abs(c) for c in v.tolist()), default=0.0)
+
+
+def _shoot_edge(alg, v_from, targets, step, max_iter=12, tol=1e-6, fd=1e-6):
+    """Search, for each target vertex, for a constant gauge parameter whose
+    time-1 flow from v_from reaches it: Gauss-Newton with finite-difference
+    sensitivities.  Each iteration integrates the base flow and the bumped
+    flows of every live target in lockstep, as the rows of one batch; a
+    target leaves the batch once it is reached or given up.  Returns one
+    GaugePath or None per target."""
     import numpy as np
 
-    deg0 = alg.space.indices_of_degree(0)
-    if not deg0:
-        return None
-    deg1 = alg.space.indices_of_degree(1)
-    eta = {i: 0j for i in deg0}
-
-    def endpoint(e):
-        return gauge_flow(alg, v_from, e, step=step, n_samples=2).end
-
+    tower = _dense_tower(alg)
+    deg0 = list(alg.space.indices_of_degree(0))
+    deg1 = list(alg.space.indices_of_degree(1))
+    d = len(deg0)
+    n_steps, h = _n_steps(step, 1.0)
+    start = _to_dense(tower.n, v_from)
+    goals = [_to_dense(tower.n, v)[deg1] for v in targets]
+    live = {p: np.zeros(d, dtype=complex) for p in range(len(targets))}
+    paths = [None] * len(targets)
     for _ in range(max_iter):
-        endp = endpoint(eta)
-        r = [endp.get(i, 0j) - v_to.get(i, 0j) for i in deg1]
-        if max((abs(c) for c in r), default=0.0) <= tol:
-            path = gauge_flow(alg, v_from, eta, step=step)
-            if path.max_mc_residual() <= 1e-5:
-                return path
-            return None
-        J = np.zeros((len(deg1), len(deg0)), dtype=complex)
-        for col, i in enumerate(deg0):
-            bumped = dict(eta)
-            bumped[i] = bumped.get(i, 0j) + fd
-            pe = endpoint(bumped)
-            for row, o in enumerate(deg1):
-                J[row, col] = (pe.get(o, 0j) - endp.get(o, 0j)) / fd
-        stepv, *_ = np.linalg.lstsq(J, -np.array(r), rcond=None)
-        if not np.all(np.isfinite(stepv)):
-            return None
-        eta = {i: eta.get(i, 0j) + stepv[col] for col, i in enumerate(deg0)}
-        if vec_max_norm(eta) > 1e4:
-            return None
-    return None
+        if not live:
+            break
+        # per live target one base row, then one row per bumped coordinate
+        block = np.repeat(np.stack(list(live.values()))[:, None], d + 1, axis=1)
+        block[:, np.arange(1, d + 1), np.arange(d)] += fd
+        E = np.zeros((len(live) * (d + 1), tower.n), dtype=complex)
+        E[:, deg0] = block.reshape(-1, d)
+        rate = tower.anchor(E)
+        G = np.repeat(start[None], len(E), axis=0)
+        for s in range(n_steps):
+            G = _rk4_step(lambda t, g: -rate(g), s * h, G, h)
+        # an entry that is 0 or nan reads as 0, as in a path sample
+        ends = np.where(np.abs(G) > 0, G, 0)[:, deg1].reshape(len(live), d + 1, len(deg1))
+        for (p, eta), end in zip(list(live.items()), ends):
+            r = end[0] - goals[p]
+            if _max_abs(r) <= tol:
+                del live[p]
+                path = gauge_flow(alg, v_from, dict(zip(deg0, eta)), step=step)
+                paths[p] = path if path.max_mc_residual() <= 1e-5 else None
+                continue
+            J = ((end[1:] - end[0]) / fd).T
+            stepv, *_ = np.linalg.lstsq(J, -r, rcond=None)
+            live[p] = eta = eta + stepv
+            if not np.all(np.isfinite(stepv)) or _max_abs(eta) > 1e4:
+                del live[p]
+    return paths
 
 
 def build_nerve(
@@ -401,7 +440,7 @@ def build_nerve(
     max_iter=50,
 ):
     """Vertices from deduplicated MC solves, edges from constant-parameter
-    flow shooting between vertex pairs."""
+    flow shooting, from each vertex to all the others at once."""
     algf = to_float_algebra(alg)
     vertices = []
     failures = 0
@@ -415,15 +454,12 @@ def build_nerve(
         vertices.append(m)
     edges = []
     if algf.space.dim(0):
-        for i in range(len(vertices)):
-            for j in range(len(vertices)):
-                if i == j:
-                    continue
-                path = _shoot_edge(
-                    algf, vertices[i].vector, vertices[j].vector, flow_step, tol=edge_tol
-                )
-                if path is not None:
-                    edges.append((i, j, path))
+        for i, v in enumerate(vertices):
+            others = [j for j in range(len(vertices)) if j != i]
+            paths = _shoot_edge(
+                algf, v.vector, [vertices[j].vector for j in others], flow_step, tol=edge_tol
+            )
+            edges.extend((i, j, path) for j, path in zip(others, paths) if path is not None)
     return NerveGraph(algf, vertices, edges, len(seeds), failures)
 
 

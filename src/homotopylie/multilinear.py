@@ -21,7 +21,7 @@ def koszul_sort(indices, deg_of, antisym=False):
     for i in range(1, len(idxs)):
         j = i
         while j > 0 and idxs[j - 1] > idxs[j]:
-            s = (-1) ** (deg_of(idxs[j - 1]) * deg_of(idxs[j]))
+            s = -1 if deg_of(idxs[j - 1]) * deg_of(idxs[j]) % 2 else 1
             if antisym:
                 s = -s
             sign *= s
@@ -35,7 +35,7 @@ def repeat_kills(word, deg_of, antisym=False):
     swapping two equal inputs must act by +1."""
     for a, b in zip(word, word[1:]):
         if a == b:
-            s = (-1) ** (deg_of(a) * deg_of(a))
+            s = -1 if deg_of(a) * deg_of(a) % 2 else 1
             if antisym:
                 s = -s
             if s == -1:

@@ -1,12 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from homotopylie import GradedMap, GradedSpace, LInftyAlgebra, MultiLinearOp, to_shifted, to_unshifted
-from homotopylie.generators import corrupt_one_constant, rand_invertible, weighted_nilpotent_dgla
+from homotopylie.generators import (
+    corrupt_one_constant,
+    rand_invertible,
+    random_complex,
+    weighted_nilpotent_dgla,
+)
 from homotopylie.multilinear import koszul_sort
+from homotopylie.words import canon_word
 from homotopylie.scalars import QQ
 
 
@@ -25,6 +32,33 @@ def test_koszul_sort_signs():
     assert koszul_sort((1, 0), d) == ((0, 1), -1)  # odd past odd
     assert koszul_sort((2, 0), d) == ((0, 2), 1)  # even past odd
     assert koszul_sort((1, 0), d, antisym=True) == ((0, 1), 1)
+
+
+def test_signs_are_ints_on_negative_degrees():
+    # shifted degrees -2..1: products of degrees of opposite signs are
+    # negative, where (-1) ** p is a float
+    space = random_complex(random.Random(4), degs=(-1, 0, 1, 2)).space.shifted(1)
+    deg_of = space.degree_of
+    n = space.total_dim
+    assert min(map(deg_of, range(n))) < 0 < max(map(deg_of, range(n)))
+
+    def old_sign(tup, antisym):
+        # the sign the float formula gave: one factor per inverted pair
+        sign = 1
+        for i in range(len(tup)):
+            for j in range(i + 1, len(tup)):
+                if tup[i] > tup[j]:
+                    sign *= (-1) ** (deg_of(tup[i]) * deg_of(tup[j])) * (-1 if antisym else 1)
+        return sign
+
+    ops = {sym: MultiLinearOp(space, space, 3, 1, sym) for sym in ("sym", "antisym")}
+    tuples = [t for k in (1, 2, 3) for t in product(range(n), repeat=k)]
+    for tup in tuples:
+        cases = [(canon_word(tup, deg_of), False)]
+        cases += [(op._canon(tup), sym == "antisym") for sym, op in ops.items()]
+        for (word, sign), antisym in cases:
+            assert type(sign) is int, (tup, sign)
+            assert sign == (0 if word is None else old_sign(tup, antisym)), tup
 
 
 # ------------------------------------------------------- gl2 as a Lie algebra

@@ -185,10 +185,26 @@ def test_sparse_kernels_match_the_dense_oracle(name):
         g = rng.normal(size=n) + 1j * rng.normal(size=n)
         e = np.zeros(n, dtype=complex)
         e[deg0] = rng.normal(size=len(deg0)) + 1j * rng.normal(size=len(deg0))
-        got = (tower.mc(g), tower.derivative(g), tower.anchor_rate(g, e))
-        for what, a, b in zip(("mc", "derivative", "anchor_rate"), got, dense_kernels(tensors, g, e)):
+        got = (tower.mc(g), tower.derivative(g), tower.anchor(e)(g))
+        for what, a, b in zip(("mc", "derivative", "anchor"), got, dense_kernels(tensors, g, e)):
             scale = max(1.0, float(np.max(np.abs(b))))
             assert np.max(np.abs(a - b)) <= 1e-12 * scale, (name, what)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TOWERS))
+def test_batched_anchor_rows_equal_single_rows(name):
+    alg = to_float_algebra(ORACLE_TOWERS[name]())
+    tower = _dense_tower(alg)
+    n = alg.space.total_dim
+    deg0 = list(alg.space.indices_of_degree(0))
+    rng = np.random.default_rng(23)
+    G = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+    E = np.zeros((5, n), dtype=complex)
+    E[:, deg0] = rng.normal(size=(5, len(deg0))) + 1j * rng.normal(size=(5, len(deg0)))
+    batched = tower.anchor(E)(G)
+    assert batched.shape == (5, n)
+    for b in range(5):
+        assert np.array_equal(batched[b], tower.anchor(E[b])(G[b])), (name, b)
 
 
 def test_solve_mc_on_an_arity_5_dcrit_tower_builds_no_dense_tensors():
@@ -270,6 +286,70 @@ def test_nerve_no_gauge_directions():
     assert not g.edges
     assert len(g.components()) == len(g.vertices)
     assert g.vertices
+
+
+def vec_max_norm(x):
+    return max((abs(c) for c in x.values()), default=0.0)
+
+
+def shoot_one_pair(alg, v_from, v_to, step, max_iter=12, tol=1e-6, fd=1e-6):
+    """Oracle for the lockstep shooter: one pair at a time, one gauge flow
+    per base and bumped parameter."""
+    deg0 = alg.space.indices_of_degree(0)
+    if not deg0:
+        return None
+    deg1 = alg.space.indices_of_degree(1)
+    eta = {i: 0j for i in deg0}
+
+    def endpoint(e):
+        return gauge_flow(alg, v_from, e, step=step, n_samples=2).end
+
+    for _ in range(max_iter):
+        endp = endpoint(eta)
+        r = [endp.get(i, 0j) - v_to.get(i, 0j) for i in deg1]
+        if max((abs(c) for c in r), default=0.0) <= tol:
+            path = gauge_flow(alg, v_from, eta, step=step)
+            if path.max_mc_residual() <= 1e-5:
+                return path
+            return None
+        J = np.zeros((len(deg1), len(deg0)), dtype=complex)
+        for col, i in enumerate(deg0):
+            bumped = dict(eta)
+            bumped[i] = bumped.get(i, 0j) + fd
+            pe = endpoint(bumped)
+            for row, o in enumerate(deg1):
+                J[row, col] = (pe.get(o, 0j) - endp.get(o, 0j)) / fd
+        stepv, *_ = np.linalg.lstsq(J, -np.array(r), rcond=None)
+        if not np.all(np.isfinite(stepv)):
+            return None
+        eta = {i: eta.get(i, 0j) + stepv[col] for col, i in enumerate(deg0)}
+        if vec_max_norm(eta) > 1e4:
+            return None
+    return None
+
+
+def test_nerve_of_the_brst_circle_joins_every_pair_as_the_oracle_does():
+    alg = brst_circle().algebra
+    V = alg.space
+    seeds = [
+        {V.index(1, 0): complex(1.02 * np.cos(a)), V.index(1, 1): complex(0.99 * np.sin(a))}
+        for a in (0.1, 1.0, 2.0, 3.0)
+    ]
+    g = build_nerve(alg, seeds)
+    assert len(g.vertices) == 4 and len(g.edges) == 12
+    assert g.components() == [[0, 1, 2, 3]]
+    want = []
+    for i, vi in enumerate(g.vertices):
+        for j, vj in enumerate(g.vertices):
+            if i != j:
+                path = shoot_one_pair(g.algebra, vi.vector, vj.vector, 0.02)
+                if path is not None:
+                    want.append((i, j, path))
+    assert [(i, j) for i, j, _ in g.edges] == [(i, j) for i, j, _ in want]
+    for (_, _, got), (_, _, ref) in zip(g.edges, want):
+        # repr tells -0.0 from 0.0: the same bits, not merely equal values
+        for attr in ("times", "samples", "eta_samples"):
+            assert repr(getattr(got, attr)) == repr(getattr(ref, attr)), attr
 
 
 def test_nerve_matches_minimal_model():
