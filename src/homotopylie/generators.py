@@ -7,8 +7,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
 from .scalars import QQ
 from .graded import GradedSpace, GradedMap, ChainComplex
@@ -469,6 +467,8 @@ def mat_vec(alg, word, x):
 
 
 def read_mat(alg, word, v):
+    import numpy as np
+
     out = np.zeros((2, 2), dtype=complex)
     for m, (a, b) in enumerate(GL2):
         out[a][b] = complex(v.get(alg._idx_of[(word, m)], 0))
@@ -476,6 +476,8 @@ def read_mat(alg, word, v):
 
 
 def expm2(A, t=1.0):
+    import numpy as np
+
     out = np.eye(2, dtype=complex)
     term = np.eye(2, dtype=complex)
     for k in range(1, 30):

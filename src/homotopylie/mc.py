@@ -3,7 +3,12 @@ interval path object, pushforward of flows through morphisms, the
 1-truncated Maurer-Cartan nerve, and the homotopy gauge action of a
 dgla model with a retract.
 
-Flows always run in float mode; exact algebras are converted first.
+Flows always run in float mode; exact algebras are converted first, once
+per tolerance, and each float algebra keeps one sparse evaluation plan.
+On a tower with no bracket above arity 2 (a dgla) the anchor at a fixed
+gauge parameter is affine in the point, so a classical RK4 step is one
+affine map G -> P G + q, applied to every flow of a batch at once; other
+towers run the four RK4 stages on the plan.
 """
 
 from __future__ import annotations
@@ -23,12 +28,20 @@ DEDUP_RADIUS = 1e-6
 # ------------------------------------------------------- float conversion
 
 def to_float_algebra(alg, tol=1e-10):
-    """The same structure constants over approximate complex scalars."""
+    """The same structure constants over approximate complex scalars.
+
+    The result is memoized per tol on the exact algebra, so one exact
+    tower keeps one float algebra and one sparse tower.  The exact algebra
+    is treated as immutable after its first conversion, as the sparse
+    tower cache already assumes of the float one."""
     if not alg.field.exact:
         return alg
-    space = GradedSpace(alg.space.dims, alg.space.labels, field=FloatComplexField(tol))
-    sp = space.shifted(1)
-    return LInftyAlgebra(space, {k: _float_op(op, sp, sp) for k, op in alg.sops.items()})
+    cache = alg.__dict__.setdefault("_float_cache", {})
+    if tol not in cache:
+        space = GradedSpace(alg.space.dims, alg.space.labels, field=FloatComplexField(tol))
+        sp = space.shifted(1)
+        cache[tol] = LInftyAlgebra(space, {k: _float_op(op, sp, sp) for k, op in alg.sops.items()})
+    return cache[tol]
 
 
 def to_float_morphism(F, src=None, tgt=None, tol=1e-10):
@@ -138,12 +151,33 @@ class _SparseTower:
 
         return rate
 
+    def affine(self, e):
+        """The anchor at e as the affine map g -> b + A g, for the rows of
+        e (one row without a batch axis): b of shape (rows, n), A of shape
+        (rows, n, n).  None when a bracket above arity 2 makes the anchor
+        nonlinear in g."""
+        import numpy as np
 
-def _dense_tower(alg):
-    tower = getattr(alg, "_dense_tower_cache", None)
+        if any(k > 2 for k in self.plan):
+            return None
+        E = e.reshape(-1, self.n)
+        rows = np.arange(len(E))[:, None]
+        b = np.zeros(E.shape, dtype=complex)
+        A = np.zeros((len(E), self.n, self.n), dtype=complex)
+        if 1 in self.plan:
+            idx, o, coef = self.plan[1]
+            np.add.at(b, (rows, o), E[:, idx[:, 0]] * coef)
+        if 2 in self.plan:
+            idx, o, coef = self.plan[2]
+            np.add.at(A, (rows, o, idx[:, 1]), E[:, idx[:, 0]] * coef)
+        return b, A
+
+
+def _sparse_tower(alg):
+    tower = getattr(alg, "_sparse_tower_cache", None)
     if tower is None:
         tower = _SparseTower(alg)
-        alg._dense_tower_cache = tower
+        alg._sparse_tower_cache = tower
     return tower
 
 
@@ -180,7 +214,7 @@ def solve_mc(alg, seed, tol=1e-10, max_iter=50, radius=None):
 
     algf = to_float_algebra(alg)
     field = algf.field
-    tower = _dense_tower(algf)
+    tower = _sparse_tower(algf)
     deg1, deg2 = tower.deg1, tower.deg2
     x = np.zeros(tower.n, dtype=complex)
     for i, c in seed.items():
@@ -226,7 +260,7 @@ class GaugePath:
         return self.samples[-1]
 
     def max_mc_residual(self):
-        tower = _dense_tower(self.algebra)
+        tower = _sparse_tower(self.algebra)
         return max(tower.mc_residual(_to_dense(tower.n, s)) for s in self.samples)
 
     def max_ode_defect(self):
@@ -266,47 +300,90 @@ def _rk4_step(rhs, t, g, h):
     return g + (k1 + 2 * k2 + 2 * k3 + k4) * (h / 6)
 
 
+def _rk4_map(parts, h):
+    """(P, q) such that one classical RK4 step of g' = -(b(t) + A(t) g)
+    is g -> P g + q, from the affine parts (b, A) of the anchor at t,
+    t + h/2 and t + h.  With constant parts, P is the RK4 stability
+    polynomial 1 + z + z^2/2 + z^3/6 + z^4/24 at z = -hA (Hairer-Norsett-
+    Wanner, Solving ODEs I, II.1).  Matrix products are stacked matmuls
+    and matrix-vector products per-row sums, so the bits of a row do not
+    depend on the batch it sits in."""
+    import numpy as np
+
+    (b1, A1), (b2, A2), (b4, A4) = parts
+    eye = np.eye(A1.shape[-1])
+    K, k = -A1, -b1  # stage 1 as the affine map g -> K g + k
+    P, q = K, k
+    for (b, A), c, w in (((b2, A2), h / 2, 2), ((b2, A2), h / 2, 2), ((b4, A4), h, 1)):
+        # the next stage's rate at g + c * (K g + k)
+        K, k = -(A @ (eye + c * K)), -((A * (c * k)[:, None, :]).sum(-1) + b)
+        P, q = P + w * K, q + w * k
+    return eye + (h / 6) * P, (h / 6) * q
+
+
+def _flow_step(tower, eta_at, h, constant):
+    """The map (t, G) -> G(t + h) of one classical RK4 step of
+    G' = -anchor(eta(t))(G), one flow per row of G and of eta_at(t).  An
+    affine anchor steps by G -> P G + q (`_rk4_map`), with (P, q) built
+    once for a constant eta; any other anchor runs the four stages."""
+    part = tower.affine(eta_at(0.0))
+    if part is None:
+        fixed = tower.anchor(eta_at(0.0)) if constant else None
+
+        def rhs(t, G):
+            return -(fixed if constant else tower.anchor(eta_at(t)))(G)
+
+        return lambda t, G: _rk4_step(rhs, t, G, h)
+    fixed = _rk4_map([part] * 3, h) if constant else None
+
+    def step(t, G):
+        if constant:
+            P, q = fixed
+        else:
+            P, q = _rk4_map([tower.affine(eta_at(s)) for s in (t, t + h / 2, t + h)], h)
+        return (P * G[:, None, :]).sum(-1) + q
+
+    return step
+
+
 def _n_steps(step, t_end):
     n_steps = max(1, int(round(t_end / step)))
     return n_steps, t_end / n_steps
 
 
 def gauge_flow(alg, mu, eta, step=DEFAULT_STEP, t_end=1.0, radius=None, n_samples=11):
-    """Integrate gamma' = -anchor(gamma)(eta) from mu by fixed-step RK4.
+    """Integrate gamma' = -anchor(gamma)(eta) from mu by fixed-step RK4,
+    as a batch of one flow.
 
     eta is a constant degree-0 vector or a callable t -> vector."""
     import numpy as np
 
     algf = to_float_algebra(alg)
     field = algf.field
-    tower = _dense_tower(algf)
+    tower = _sparse_tower(algf)
     const = None if callable(eta) else _to_dense(tower.n, float_vector(field, eta))
 
     def eta_at(t):
         return const if const is not None else _to_dense(tower.n, float_vector(field, eta(t)))
 
-    fixed = None if const is None else tower.anchor(const)
-
-    def rhs(t, g):
-        return -(fixed if fixed is not None else tower.anchor(eta_at(t)))(g)
-
     n_steps, h = _n_steps(step, t_end)
+    advance = _flow_step(tower, lambda t: eta_at(t)[None], h, const is not None)
     sample_every = max(1, n_steps // max(1, n_samples - 1))
-    g = _to_dense(tower.n, float_vector(field, mu))
-    times, samples, etas = [0.0], [_to_dict(g)], [_to_dict(eta_at(0.0))]
+    G = _to_dense(tower.n, float_vector(field, mu))[None]
+    times, samples, etas = [0.0], [_to_dict(G[0])], [_to_dict(eta_at(0.0))]
     ok = True
     for s in range(n_steps):
         t = s * h
-        g = _rk4_step(rhs, t, g, h)
-        if radius is not None and float(np.max(np.abs(g))) > radius:
+        G = advance(t, G)
+        if radius is not None and float(np.max(np.abs(G))) > radius:
             ok = False
             times.append(t + h)
-            samples.append(_to_dict(g))
+            samples.append(_to_dict(G[0]))
             etas.append(_to_dict(eta_at(t + h)))
             break
         if (s + 1) % sample_every == 0 or s + 1 == n_steps:
             times.append(t + h)
-            samples.append(_to_dict(g))
+            samples.append(_to_dict(G[0]))
             etas.append(_to_dict(eta_at(t + h)))
     return GaugePath(algf, times, samples, etas, ok)
 
@@ -392,7 +469,7 @@ def _shoot_edge(alg, v_from, targets, step, max_iter=12, tol=1e-6, fd=1e-6):
     GaugePath or None per target."""
     import numpy as np
 
-    tower = _dense_tower(alg)
+    tower = _sparse_tower(alg)
     deg0 = list(alg.space.indices_of_degree(0))
     deg1 = list(alg.space.indices_of_degree(1))
     d = len(deg0)
@@ -409,10 +486,13 @@ def _shoot_edge(alg, v_from, targets, step, max_iter=12, tol=1e-6, fd=1e-6):
         block[:, np.arange(1, d + 1), np.arange(d)] += fd
         E = np.zeros((len(live) * (d + 1), tower.n), dtype=complex)
         E[:, deg0] = block.reshape(-1, d)
-        rate = tower.anchor(E)
+        advance = _flow_step(tower, lambda t: E, h, True)
         G = np.repeat(start[None], len(E), axis=0)
-        for s in range(n_steps):
-            G = _rk4_step(lambda t, g: -rate(g), s * h, G, h)
+        # a row whose Gauss-Newton iterate diverged may overflow to inf or
+        # nan; its target is dropped by the finiteness or 1e4 checks below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(n_steps):
+                G = advance(s * h, G)
         # an entry that is 0 or nan reads as 0, as in a path sample
         ends = np.where(np.abs(G) > 0, G, 0)[:, deg1].reshape(len(live), d + 1, len(deg1))
         for (p, eta), end in zip(list(live.items()), ends):

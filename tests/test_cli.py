@@ -1,6 +1,9 @@
 import json
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -285,3 +288,14 @@ def test_only_nerve_takes_format(tmp_path):
     assert main(["check", path, "--out", out, "--scalar", "rational"]) == 2
     assert main(["nerve", path, "--out", out, "--n-seeds", "0", "--format", "text"]) == 0
     assert _read(os.path.join(out, "nerve.txt")) == "#\n\n"
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # exact commands never touch numpy, so they do not pay for its import
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, homotopylie.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"

@@ -1,4 +1,6 @@
+import random
 import time
+import warnings
 from fractions import Fraction
 from itertools import product
 from math import factorial as fact
@@ -31,8 +33,11 @@ from homotopylie.mc import (
     vec_dist,
     OmegaModel,
     homotopy_gauge_action,
-    _dense_tower,
+    _sparse_tower,
+    _flow_step,
+    _rk4_step,
 )
+from homotopylie import mc
 
 
 def F(*a):
@@ -176,7 +181,7 @@ ORACLE_TOWERS = {
 @pytest.mark.parametrize("name", sorted(ORACLE_TOWERS))
 def test_sparse_kernels_match_the_dense_oracle(name):
     alg = to_float_algebra(ORACLE_TOWERS[name]())
-    tower = _dense_tower(alg)
+    tower = _sparse_tower(alg)
     tensors = dense_tensors(alg)
     n = alg.space.total_dim
     deg0 = list(alg.space.indices_of_degree(0))
@@ -194,7 +199,7 @@ def test_sparse_kernels_match_the_dense_oracle(name):
 @pytest.mark.parametrize("name", sorted(ORACLE_TOWERS))
 def test_batched_anchor_rows_equal_single_rows(name):
     alg = to_float_algebra(ORACLE_TOWERS[name]())
-    tower = _dense_tower(alg)
+    tower = _sparse_tower(alg)
     n = alg.space.total_dim
     deg0 = list(alg.space.indices_of_degree(0))
     rng = np.random.default_rng(23)
@@ -205,6 +210,62 @@ def test_batched_anchor_rows_equal_single_rows(name):
     assert batched.shape == (5, n)
     for b in range(5):
         assert np.array_equal(batched[b], tower.anchor(E[b])(G[b])), (name, b)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TOWERS))
+def test_affine_steps_match_the_rk4_stages_and_batch_bitwise(name):
+    alg = to_float_algebra(ORACLE_TOWERS[name]())
+    tower = _sparse_tower(alg)
+    n = alg.space.total_dim
+    deg0 = list(alg.space.indices_of_degree(0))
+    rng = np.random.default_rng(29)
+
+    def gauge_rows():
+        E = np.zeros((5, n), dtype=complex)
+        E[:, deg0] = rng.normal(size=(5, len(deg0))) + 1j * rng.normal(size=(5, len(deg0)))
+        return E
+
+    E0, E1, E2 = gauge_rows(), gauge_rows(), gauge_rows()
+    G = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+    t, h = 0.3, 0.05
+    if max(alg.sops) > 2:
+        assert tower.affine(E0) is None
+    else:
+        b, A = tower.affine(E0)
+        assert b.shape == (5, n) and A.shape == (5, n, n)
+        for r in range(5):
+            b1, A1 = tower.affine(E0[r])
+            assert np.array_equal(b[r], b1[0]) and np.array_equal(A[r], A1[0]), (name, r)
+    etas = {"constant": (lambda t: E0, True), "time-dependent": (lambda t: E0 + t * E1 + t * t * E2, False)}
+    for what, (eta_at, constant) in etas.items():
+        got = _flow_step(tower, eta_at, h, constant)(t, G)
+        want = _rk4_step(lambda s, g: -tower.anchor(eta_at(s))(g), t, G, h)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, (name, what)
+        for r in range(5):
+            single = _flow_step(tower, lambda s: eta_at(s)[r:r + 1], h, constant)(t, G[r:r + 1])
+            assert np.array_equal(got[r], single[0]), (name, what, r)
+
+
+def test_float_conversion_is_memoized_per_tol(monkeypatch):
+    alg = lambda_dgla()
+    algf = to_float_algebra(alg)
+    assert to_float_algebra(alg) is algf
+    assert to_float_algebra(alg, tol=1e-8) is not algf
+    assert to_float_algebra(algf) is algf
+    built = []
+
+    class CountedTower(mc._SparseTower):
+        def __init__(self, a):
+            built.append(a)
+            super().__init__(a)
+
+    monkeypatch.setattr(mc, "_SparseTower", CountedTower)
+    exact = lambda_dgla(coupled=True)
+    seed = {i: 0.1 + 0j for i in exact.space.indices_of_degree(1)}
+    solve_mc(exact, seed)
+    solve_mc(exact, seed)
+    assert built == [to_float_algebra(exact)]
 
 
 def test_solve_mc_on_an_arity_5_dcrit_tower_builds_no_dense_tensors():
@@ -286,6 +347,30 @@ def test_nerve_no_gauge_directions():
     assert not g.edges
     assert len(g.components()) == len(g.vertices)
     assert g.vertices
+
+
+def test_nerve_of_flow_endpoints_raises_no_warnings():
+    # commuting pairs (A, B) give MC points A theta1 + B theta2; their
+    # flows along a fixed eta end at gauge-equivalent points
+    alg = lambda_dgla()
+    rng = random.Random(0)
+
+    def uniform(scale):
+        return np.array([[rng.uniform(-scale, scale) for _ in range(2)] for _ in range(2)])
+
+    def embed(word, X):
+        return {alg._idx_of[(word, m)]: complex(X[a][b]) for m, (a, b) in enumerate(GL2) if X[a][b]}
+
+    seeds = []
+    for _ in range(3):
+        A = uniform(0.5)
+        B = rng.uniform(-1, 1) * A + rng.uniform(-0.5, 0.5) * np.eye(2)
+        v = {**embed((1,), A), **embed((2,), B)}
+        seeds += [v, gauge_flow(alg, v, embed((), uniform(0.4)), step=0.02).end]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = build_nerve(alg, seeds)
+    assert len(g.vertices) == 6
 
 
 def vec_max_norm(x):
