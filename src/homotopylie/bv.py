@@ -138,33 +138,23 @@ def _quasi_iso_square(field, J, sigma_pt, n, r):
     return True, None
 
 
-def validate_bv(bv, points=None, window=(1, 2)):
+def validate_bv(bv, window=(1, 2)):
     """The three BV axioms plus the quasi-smoothness precondition.
     Triangle and gauge invariance are exact polynomial identities; the
-    tangent-cotangent quasi-isomorphism is checked pointwise."""
+    precondition and the tangent-cotangent quasi-isomorphism are checked
+    at the origin."""
     alg, field = bv.algebra, bv.field
     n, r = bv.n, bv.r
     checks = {}
     witness = None
 
     lam = mc_polynomials(alg)
+    origin = [field.zero] * n
 
-    pts = [[field.zero] * n]
-    if points is not None:
-        pts += [list(p) for p in points]
-
-    # precondition: quasi-smooth in the window at the sampled points
-    ok_qs = True
-    V = alg.space
-    deg1 = V.indices_of_degree(1)
-    for p in pts:
-        mu = {idx: c for idx, c in zip(deg1, p) if not field.is_zero(c)}
-        if not alg.is_quasi_smooth(mu, window=window):
-            ok_qs = False
-            if witness is None:
-                witness = ("precondition", p)
-            break
-    checks["quasi-smooth"] = ok_qs
+    # precondition: quasi-smooth in the window at the origin
+    checks["quasi-smooth"] = alg.is_quasi_smooth({}, window=window)
+    if not checks["quasi-smooth"]:
+        witness = ("precondition", origin)
 
     # triangle: sigma . lambda = d S, exactly
     ok_tri = True
@@ -194,21 +184,14 @@ def validate_bv(bv, points=None, window=(1, 2)):
             break
     checks["gauge"] = ok_gauge
 
-    # quasi-iso of (sigma^T, sigma) at the sampled MC points
+    # quasi-iso of (sigma^T, sigma) at the origin, when it is an MC point
     ok_qi = True
-    Jpolys = jacobian(lam, n)
-    for p in pts:
-        vals = [q.evaluate(p) for q in lam]
-        if any(not field.is_zero(v) for v in vals):
-            continue  # only MC points constrain the square
-        J = eval_matrix(Jpolys, p)
-        sig = eval_matrix(bv.sigma, p)
-        good, detail = _quasi_iso_square(field, J, sig, n, r)
-        if not good:
-            ok_qi = False
-            if witness is None:
-                witness = ("quasi-iso", (p, detail))
-            break
+    if all(field.is_zero(q.evaluate(origin)) for q in lam):
+        J = eval_matrix(jacobian(lam, n), origin)
+        sig = eval_matrix(bv.sigma, origin)
+        ok_qi, detail = _quasi_iso_square(field, J, sig, n, r)
+        if not ok_qi and witness is None:
+            witness = ("quasi-iso", (origin, detail))
     checks["quasi-iso"] = ok_qi
 
     ok = all(checks.values())
@@ -287,10 +270,10 @@ def check_shifted_symplectic(alg, omega, points=None):
     return True, None
 
 
-def potential_from_symplectic(alg, omega, cutoff=None):
+def potential_from_symplectic(alg, omega):
     """A potential (S, sigma) for a closed split two-form: sigma is the
     form itself and S integrates the one-form sigma applied to the MC
-    section, when that one-form is closed up to the cutoff."""
+    section, when that one-form is closed."""
     field = alg.field
     n = alg.space.dim(1)
     r = alg.space.dim(2)
@@ -301,8 +284,6 @@ def potential_from_symplectic(alg, omega, cutoff=None):
         for a in range(r):
             acc = acc + omega[a][i] * lam[a]
         theta.append(acc)
-    if cutoff is not None:
-        theta = [t.truncate(cutoff) for t in theta]
     for i in range(n):
         for j in range(i + 1, n):
             if not (theta[i].diff(j) - theta[j].diff(i)).is_zero():
@@ -323,7 +304,7 @@ def potential_from_symplectic(alg, omega, cutoff=None):
     return S, [list(row) for row in omega]
 
 
-def pullback_bv(phi, bv_target, source_alg=None):
+def pullback_bv(phi, bv_target):
     """Transport BV data along a morphism of local models (base map with
     a bundle map intertwining the sections)."""
     field = bv_target.field
@@ -342,8 +323,7 @@ def pullback_bv(phi, bv_target, source_alg=None):
                     acc = acc + Bab * sig * J[i][j]
             row.append(acc)
         sigma_src.append(row)
-    alg = source_alg if source_alg is not None else phi.source.to_linfty()
-    return BVData(alg, S_src, sigma_src)
+    return BVData(phi.source.to_linfty(), S_src, sigma_src)
 
 
 def effective_action(split):
@@ -383,27 +363,26 @@ class VolumeForm:
         self.exact = exact
 
 
-def metric_vanishes_on_gauge_directions(ms, alg, points=None):
+def metric_vanishes_on_gauge_directions(ms, alg):
     """Item: the pairing restricted to the tangent of the MC locus is
-    zero; tested on the kernel of the linearized section at MC points."""
+    zero; tested on the kernel of the linearized section at the origin,
+    when the origin is an MC point."""
     field = alg.field
     lam = mc_polynomials(alg)
     n = alg.space.dim(1)
-    Jp = jacobian(lam, n)
-    pts = [[field.zero] * n] + ([list(p) for p in points] if points else [])
-    for p in pts:
-        if any(not field.is_zero(q.evaluate(p)) for q in lam):
-            continue
-        J = eval_matrix(Jp, p)
-        kern = linalg.kernel_basis(field, J, n)
-        for u in kern:
-            for v in kern:
-                s = field.zero
-                for i in range(n):
-                    for j in range(n):
-                        s = s + u[i] * ms.Q[i][j] * v[j]
-                if not field.is_zero(s):
-                    return False, (p, u, v)
+    origin = [field.zero] * n
+    if any(not field.is_zero(q.evaluate(origin)) for q in lam):
+        return True, None
+    J = eval_matrix(jacobian(lam, n), origin)
+    kern = linalg.kernel_basis(field, J, n)
+    for u in kern:
+        for v in kern:
+            s = field.zero
+            for i in range(n):
+                for j in range(n):
+                    s = s + u[i] * ms.Q[i][j] * v[j]
+            if not field.is_zero(s):
+                return False, (origin, u, v)
     return True, None
 
 
@@ -442,14 +421,20 @@ def restrict_metric(ms, basis):
     return Qr, VolumeForm(basis, sign * root, exact)
 
 
-def check_volume_pullback(field, det_J, vol_total, vol_fiber, vol_base, tol=1e-10):
+# tolerance of the float comparisons in check_volume_pullback and
+# check_bv_orientable
+VOLUME_TOL = 1e-10
+ORIENT_TOL = 1e-9
+
+
+def check_volume_pullback(field, det_J, vol_total, vol_fiber, vol_base):
     """det(J) . density_total = density_fiber . density_base, exactly in
-    exact modes, to tolerance otherwise."""
+    exact modes, to within VOLUME_TOL otherwise."""
     lhs = det_J * vol_total.density
     rhs = vol_fiber.density * vol_base.density
     if vol_total.exact and vol_fiber.exact and vol_base.exact and field.exact:
         return field.eq(lhs, rhs)
-    return abs(complex(lhs) - complex(rhs)) <= tol
+    return abs(complex(lhs) - complex(rhs)) <= VOLUME_TOL
 
 
 # ---------------------------------------------------------- orientability
@@ -464,14 +449,14 @@ class OrientationCocycle:
         self.transitions = dict(transitions)  # (i, j) -> scalar
 
 
-def check_bv_orientable(oc, tol=1e-9):
+def check_bv_orientable(oc):
     """Search for per-vertex square roots s_v with s_v^2 = fiber value
     and s_j = t_ij s_i along every edge.  Returns (True, section) or
     (False, violating cycle as a vertex list).  When every fiber is +- a
     rational square and every transition is rational, the roots and all
     comparisons are exact (a root of a negative fiber is a
     GaussianRational); otherwise roots are cmath roots compared within
-    tol."""
+    ORIENT_TOL."""
     import cmath
 
     n = oc.n_vertices
@@ -486,7 +471,7 @@ def check_bv_orientable(oc, tol=1e-9):
         scalar = complex
 
         def near(a, b):
-            return abs(a - b) <= tol
+            return abs(a - b) <= ORIENT_TOL
     adj = {}
     for (i, j), t in oc.transitions.items():
         adj.setdefault(i, []).append((j, scalar(t)))

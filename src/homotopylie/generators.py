@@ -17,10 +17,6 @@ from .transfer import Splitting, standard_splitting, splitting_to_retract
 from .qs import QsSpace, taylor_ops
 
 
-def F(*a):
-    return Fraction(*a)
-
-
 def random_complex(rng, degs=(0, 1, 2), dmax=3):
     """Random finite complex with exact d^2 = 0."""
     dims = {d: rng.randint(1, dmax) for d in degs}
@@ -31,7 +27,7 @@ def random_complex(rng, degs=(0, 1, 2), dmax=3):
         for i in range(m):
             for j in range(n):
                 if rng.random() < 0.4:
-                    d.set_entry(V.index(deg + 1, i), V.index(deg, j), F(rng.randint(-2, 2)))
+                    d.set_entry(V.index(deg + 1, i), V.index(deg, j), Fraction(rng.randint(-2, 2)))
     if not (d @ d).is_zero():
         for deg in degs[:-2]:
             B = d.block(deg)
@@ -41,7 +37,7 @@ def random_complex(rng, degs=(0, 1, 2), dmax=3):
                 r = [QQ.zero] * dims[deg + 1]
                 for kv in ker:
                     if rng.random() < 0.5:
-                        c = F(rng.randint(-2, 2))
+                        c = Fraction(rng.randint(-2, 2))
                         r = [x + c * y for x, y in zip(r, kv)]
                 rows.append(r)
             d.blocks[deg + 1] = rows
@@ -68,7 +64,7 @@ def block_perturbed_context(rng, depth=3, max_dim=12):
             sp = GradedSpace({lo: n, lo + 1: n})
             dd = GradedMap(sp, sp, 1)
             for t in range(n):
-                dd.set_entry(sp.index(lo + 1, t), sp.index(lo, t), F(1))
+                dd.set_entry(sp.index(lo + 1, t), sp.index(lo, t), Fraction(1))
             ccs.append(ChainComplex(sp, dd))
         if sum(cc.space.total_dim for cc in ccs) <= max_dim:
             break
@@ -93,8 +89,8 @@ def block_perturbed_context(rng, depth=3, max_dim=12):
         for idx in range(cc.space.total_dim):
             deg = cc.space.degree_of(idx)
             big = V.index(deg, offs[b][deg] + cc.space.position_of(idx))
-            E.set_entry(big, idx, F(1))
-            R.set_entry(idx, big, F(1))
+            E.set_entry(big, idx, Fraction(1))
+            R.set_entry(idx, big, Fraction(1))
         embs.append(E)
         rests.append(R)
 
@@ -117,7 +113,7 @@ def block_perturbed_context(rng, depth=3, max_dim=12):
                         s.set_entry(
                             tgt.space.index(deg, i_t),
                             src.space.index(deg, j_s),
-                            F(rng.randint(-2, 2)),
+                            Fraction(rng.randint(-2, 2)),
                         )
         mu1 = tgt.d @ s - s @ src.d
         mu = mu + embs[b + 1] @ mu1 @ rests[b]
@@ -142,13 +138,13 @@ def two_degree_dgla(rng, n1=4, n2=3):
     for i in range(n2):
         for j in range(n1):
             if rng.random() < 0.5:
-                d.set_entry(V.index(2, i), V.index(1, j), F(rng.randint(-2, 2)))
+                d.set_entry(V.index(2, i), V.index(1, j), Fraction(rng.randint(-2, 2)))
     l2 = MultiLinearOp(V, V, 2, 0, "antisym")
     for a in range(n1):
         for b in range(a, n1):
             for o in range(n2):
                 if rng.random() < 0.4:
-                    l2.add_entry((V.index(1, a), V.index(1, b)), V.index(2, o), F(rng.randint(-2, 2)))
+                    l2.add_entry((V.index(1, a), V.index(1, b)), V.index(2, o), Fraction(rng.randint(-2, 2)))
     ops = {}
     dop = MultiLinearOp(V, V, 1, 1, "none")
     for idx in range(V.total_dim):
@@ -201,16 +197,16 @@ def weighted_nilpotent_dgla(rng, m=None):
     for x in range(len(basis)):
         for y in range(x + 1, len(basis)):
             for g, v in comm(basis[x], basis[y]).items():
-                l2.add_entry((pos[basis[x]], pos[basis[y]]), pos[g], F(v))
+                l2.add_entry((pos[basis[x]], pos[basis[y]]), pos[g], Fraction(v))
 
     xi_cands = [g for g in basis if deg_of_gen[g] == 1]
     d = GradedMap(V, V, 1)
     if xi_cands:
         xi = rng.choice(xi_cands)
-        c_xi = F(rng.choice([1, -1, 2]))
+        c_xi = Fraction(rng.choice([1, -1, 2]))
         for g in basis:
             for g2, v in comm(xi, g).items():
-                d.set_entry(pos[g2], pos[g], c_xi * F(v))
+                d.set_entry(pos[g2], pos[g], c_xi * Fraction(v))
     dop = MultiLinearOp(V, V, 1, 1, "none")
     for idx in range(V.total_dim):
         for o, c in d.apply({idx: QQ.one}).items():
@@ -274,7 +270,7 @@ def nilpotent_tower_with_corruption(rng, n_check=3):
             return alg, bad, loc
 
 
-def random_adaptable_section(rng, nvars=None, max_deg=3):
+def random_adaptable_section(rng, nvars=None):
     """A polynomial section admitting an exact minimal model
     decomposition: built in adapted coordinates (lam_tilde(z, n), n) and
     scrambled by a linear source change and a polynomial bundle change
@@ -283,10 +279,7 @@ def random_adaptable_section(rng, nvars=None, max_deg=3):
         nvars = rng.randint(2, 4)
     # degree and term budget shrink with the variable count to keep the
     # exact linear algebra in the decomposition tractable
-    if nvars == 2:
-        max_deg = max(max_deg, 4)
-    elif nvars == 4:
-        max_deg = min(max_deg, 2)
+    max_deg = {2: 4, 4: 2}.get(nvars, 3)
     n_terms = 4 if nvars == 2 else (3 if nvars == 3 else 2)
     n_con = rng.randint(1, nvars - 1)
     n_min = nvars - n_con
@@ -303,7 +296,7 @@ def random_adaptable_section(rng, nvars=None, max_deg=3):
                 e[rng.randrange(nvars)] += 1
             c = rng.randint(-2, 2)
             if c:
-                p.terms[tuple(e)] = p.terms.get(tuple(e), QQ.zero) + F(c)
+                p.terms[tuple(e)] = p.terms.get(tuple(e), QQ.zero) + Fraction(c)
         p.terms = {e: c for e, c in p.terms.items() if c}
         return p
 

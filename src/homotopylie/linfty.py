@@ -130,9 +130,9 @@ class LInftyAlgebra:
                 d.set_entry(o, win[0], c)
         return d
 
-    def tangent_complex(self, mu, check_flat=True):
+    def tangent_complex(self, mu):
         tw = self.twist(mu)
-        if check_flat and not tw.is_flat:
+        if not tw.is_flat:
             raise ValueError("twist is curved: element is not Maurer-Cartan")
         return ChainComplex(self.space, self.twisted_differential(mu), check=False)
 

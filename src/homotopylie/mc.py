@@ -13,6 +13,7 @@ towers run the four RK4 stages on the plan.
 
 from __future__ import annotations
 
+import weakref
 from math import factorial
 
 from .scalars import FloatComplexField
@@ -23,6 +24,20 @@ from .transfer import _columns, _columns_op
 
 DEFAULT_STEP = 1e-3
 DEDUP_RADIUS = 1e-6
+# Gauss-Newton iterations of solve_mc, and the norm at which it gives up
+MC_MAX_ITER = 50
+MC_RADIUS = 1e8
+# nerve shooting: Gauss-Newton iterations per target, the finite-difference
+# bump of the sensitivities, and the end-point distance that makes an edge
+SHOOT_MAX_ITER = 12
+SHOOT_FD = 1e-6
+EDGE_TOL = 1e-6
+
+# memos keyed weakly by algebra: an exact algebra's float conversions per
+# tol, and a float algebra's sparse tower.  They live here, not on the
+# algebra, so that an exact algebra holds no float after a conversion.
+_FLOAT_ALGEBRAS = weakref.WeakKeyDictionary()
+_SPARSE_TOWERS = weakref.WeakKeyDictionary()
 
 
 # ------------------------------------------------------- float conversion
@@ -30,13 +45,13 @@ DEDUP_RADIUS = 1e-6
 def to_float_algebra(alg, tol=1e-10):
     """The same structure constants over approximate complex scalars.
 
-    The result is memoized per tol on the exact algebra, so one exact
+    The result is memoized per tol for each exact algebra, so one exact
     tower keeps one float algebra and one sparse tower.  The exact algebra
     is treated as immutable after its first conversion, as the sparse
     tower cache already assumes of the float one."""
     if not alg.field.exact:
         return alg
-    cache = alg.__dict__.setdefault("_float_cache", {})
+    cache = _FLOAT_ALGEBRAS.setdefault(alg, {})
     if tol not in cache:
         space = GradedSpace(alg.space.dims, alg.space.labels, field=FloatComplexField(tol))
         sp = space.shifted(1)
@@ -44,9 +59,9 @@ def to_float_algebra(alg, tol=1e-10):
     return cache[tol]
 
 
-def to_float_morphism(F, src=None, tgt=None, tol=1e-10):
-    src = src if src is not None else to_float_algebra(F.source, tol)
-    tgt = tgt if tgt is not None else to_float_algebra(F.target, tol)
+def to_float_morphism(F):
+    src = to_float_algebra(F.source)
+    tgt = to_float_algebra(F.target)
     comps = {
         k: _float_op(f, src.shifted_space, tgt.shifted_space) for k, f in F.components.items()
     }
@@ -174,11 +189,9 @@ class _SparseTower:
 
 
 def _sparse_tower(alg):
-    tower = getattr(alg, "_sparse_tower_cache", None)
-    if tower is None:
-        tower = _SparseTower(alg)
-        alg._sparse_tower_cache = tower
-    return tower
+    if alg not in _SPARSE_TOWERS:
+        _SPARSE_TOWERS[alg] = _SparseTower(alg)
+    return _SPARSE_TOWERS[alg]
 
 
 def _to_dense(n, x):
@@ -190,8 +203,8 @@ def _to_dense(n, x):
     return v
 
 
-def _to_dict(v, tol=0.0):
-    return {i: c for i, c in enumerate(v) if abs(c) > tol}
+def _to_dict(v):
+    return {i: c for i, c in enumerate(v) if abs(c) > 0}
 
 
 # ------------------------------------------------------------- MC solving
@@ -208,7 +221,7 @@ class MCElement:
         return "MCElement(residual=%.2e, converged=%r)" % (self.residual, self.converged)
 
 
-def solve_mc(alg, seed, tol=1e-10, max_iter=50, radius=None):
+def solve_mc(alg, seed, tol=1e-10):
     """Gauss-Newton iteration on the Maurer-Cartan function, float mode."""
     import numpy as np
 
@@ -221,19 +234,18 @@ def solve_mc(alg, seed, tol=1e-10, max_iter=50, radius=None):
         x[i] = complex(field.coerce(c))
     res = None
     it = 0
-    for it in range(max_iter + 1):
+    for it in range(MC_MAX_ITER + 1):
         Fv = tower.mc(x)
         res = float(np.max(np.abs(Fv[deg2]))) if deg2 else 0.0
         if res <= tol:
             return MCElement(algf, _to_dict(x), res, True, it)
-        if it == max_iter:
+        if it == MC_MAX_ITER:
             break
         J = tower.derivative(x)[np.ix_(deg2, deg1)]
         step, *_ = np.linalg.lstsq(J, -Fv[deg2], rcond=None)
         x = x.copy()
         x[deg1] = x[deg1] + step
-        bound = radius if radius is not None else 1e8
-        if np.max(np.abs(x)) > bound:
+        if np.max(np.abs(x)) > MC_RADIUS:
             return MCElement(algf, _to_dict(x), res, False, it)
     return MCElement(algf, _to_dict(x), res, False, it)
 
@@ -346,18 +358,18 @@ def _flow_step(tower, eta_at, h, constant):
     return step
 
 
-def _n_steps(step, t_end):
-    n_steps = max(1, int(round(t_end / step)))
-    return n_steps, t_end / n_steps
+def _n_steps(step):
+    """The number and the length of the RK4 steps that reach time 1."""
+    n_steps = max(1, int(round(1.0 / step)))
+    return n_steps, 1.0 / n_steps
 
 
-def gauge_flow(alg, mu, eta, step=DEFAULT_STEP, t_end=1.0, radius=None, n_samples=11):
-    """Integrate gamma' = -anchor(gamma)(eta) from mu by fixed-step RK4,
-    as a batch of one flow.
+def gauge_flow(alg, mu, eta, step=DEFAULT_STEP, n_samples=11):
+    """Integrate gamma' = -anchor(gamma)(eta) from mu to time 1 by
+    fixed-step RK4, as a batch of one flow, keeping about n_samples
+    samples.
 
     eta is a constant degree-0 vector or a callable t -> vector."""
-    import numpy as np
-
     algf = to_float_algebra(alg)
     field = algf.field
     tower = _sparse_tower(algf)
@@ -366,26 +378,19 @@ def gauge_flow(alg, mu, eta, step=DEFAULT_STEP, t_end=1.0, radius=None, n_sample
     def eta_at(t):
         return const if const is not None else _to_dense(tower.n, float_vector(field, eta(t)))
 
-    n_steps, h = _n_steps(step, t_end)
+    n_steps, h = _n_steps(step)
     advance = _flow_step(tower, lambda t: eta_at(t)[None], h, const is not None)
     sample_every = max(1, n_steps // max(1, n_samples - 1))
     G = _to_dense(tower.n, float_vector(field, mu))[None]
     times, samples, etas = [0.0], [_to_dict(G[0])], [_to_dict(eta_at(0.0))]
-    ok = True
     for s in range(n_steps):
         t = s * h
         G = advance(t, G)
-        if radius is not None and float(np.max(np.abs(G))) > radius:
-            ok = False
-            times.append(t + h)
-            samples.append(_to_dict(G[0]))
-            etas.append(_to_dict(eta_at(t + h)))
-            break
         if (s + 1) % sample_every == 0 or s + 1 == n_steps:
             times.append(t + h)
             samples.append(_to_dict(G[0]))
             etas.append(_to_dict(eta_at(t + h)))
-    return GaugePath(algf, times, samples, etas, ok)
+    return GaugePath(algf, times, samples, etas)
 
 
 def pushforward_path(F, path):
@@ -460,7 +465,7 @@ def _max_abs(v):
     return max((abs(c) for c in v.tolist()), default=0.0)
 
 
-def _shoot_edge(alg, v_from, targets, step, max_iter=12, tol=1e-6, fd=1e-6):
+def _shoot_edge(alg, v_from, targets, step):
     """Search, for each target vertex, for a constant gauge parameter whose
     time-1 flow from v_from reaches it: Gauss-Newton with finite-difference
     sensitivities.  Each iteration integrates the base flow and the bumped
@@ -473,17 +478,17 @@ def _shoot_edge(alg, v_from, targets, step, max_iter=12, tol=1e-6, fd=1e-6):
     deg0 = list(alg.space.indices_of_degree(0))
     deg1 = list(alg.space.indices_of_degree(1))
     d = len(deg0)
-    n_steps, h = _n_steps(step, 1.0)
+    n_steps, h = _n_steps(step)
     start = _to_dense(tower.n, v_from)
     goals = [_to_dense(tower.n, v)[deg1] for v in targets]
     live = {p: np.zeros(d, dtype=complex) for p in range(len(targets))}
     paths = [None] * len(targets)
-    for _ in range(max_iter):
+    for _ in range(SHOOT_MAX_ITER):
         if not live:
             break
         # per live target one base row, then one row per bumped coordinate
         block = np.repeat(np.stack(list(live.values()))[:, None], d + 1, axis=1)
-        block[:, np.arange(1, d + 1), np.arange(d)] += fd
+        block[:, np.arange(1, d + 1), np.arange(d)] += SHOOT_FD
         E = np.zeros((len(live) * (d + 1), tower.n), dtype=complex)
         E[:, deg0] = block.reshape(-1, d)
         advance = _flow_step(tower, lambda t: E, h, True)
@@ -497,12 +502,12 @@ def _shoot_edge(alg, v_from, targets, step, max_iter=12, tol=1e-6, fd=1e-6):
         ends = np.where(np.abs(G) > 0, G, 0)[:, deg1].reshape(len(live), d + 1, len(deg1))
         for (p, eta), end in zip(list(live.items()), ends):
             r = end[0] - goals[p]
-            if _max_abs(r) <= tol:
+            if _max_abs(r) <= EDGE_TOL:
                 del live[p]
                 path = gauge_flow(alg, v_from, dict(zip(deg0, eta)), step=step)
                 paths[p] = path if path.max_mc_residual() <= 1e-5 else None
                 continue
-            J = ((end[1:] - end[0]) / fd).T
+            J = ((end[1:] - end[0]) / SHOOT_FD).T
             stepv, *_ = np.linalg.lstsq(J, -r, rcond=None)
             live[p] = eta = eta + stepv
             if not np.all(np.isfinite(stepv)) or _max_abs(eta) > 1e4:
@@ -510,47 +515,37 @@ def _shoot_edge(alg, v_from, targets, step, max_iter=12, tol=1e-6, fd=1e-6):
     return paths
 
 
-def build_nerve(
-    alg,
-    seeds,
-    tol=1e-10,
-    dedup_radius=DEDUP_RADIUS,
-    flow_step=0.02,
-    edge_tol=1e-6,
-    max_iter=50,
-):
+def build_nerve(alg, seeds, tol=1e-10, flow_step=0.02):
     """Vertices from deduplicated MC solves, edges from constant-parameter
     flow shooting, from each vertex to all the others at once."""
     algf = to_float_algebra(alg)
     vertices = []
     failures = 0
     for seed in seeds:
-        m = solve_mc(algf, seed, tol=tol, max_iter=max_iter)
+        m = solve_mc(algf, seed, tol=tol)
         if not m.converged:
             failures += 1
             continue
-        if any(vec_dist(m.vector, v.vector) <= dedup_radius for v in vertices):
+        if any(vec_dist(m.vector, v.vector) <= DEDUP_RADIUS for v in vertices):
             continue
         vertices.append(m)
     edges = []
     if algf.space.dim(0):
         for i, v in enumerate(vertices):
             others = [j for j in range(len(vertices)) if j != i]
-            paths = _shoot_edge(
-                algf, v.vector, [vertices[j].vector for j in others], flow_step, tol=edge_tol
-            )
+            paths = _shoot_edge(algf, v.vector, [vertices[j].vector for j in others], flow_step)
             edges.extend((i, j, path) for j, path in zip(others, paths) if path is not None)
     return NerveGraph(algf, vertices, edges, len(seeds), failures)
 
 
 # ------------------------------------------------- homotopy gauge action
 
-def twist_morphism(F, b, flat_check=False):
+def twist_morphism(F, b):
     """Morphism between twisted algebras: components
     f_k^b = sum_j 1/j! f_{k+j}(b, ..., b, -), from the twist at b to the
     twist at the pushforward of b."""
-    src = F.source.twist(b).algebra(check_flat=flat_check)
-    tgt = F.target.twist(F.apply_point(b)).algebra(check_flat=flat_check)
+    src = F.source.twist(b).algebra(check_flat=False)
+    tgt = F.target.twist(F.apply_point(b)).algebra(check_flat=False)
     comps = twist_family(F.components, b, src.shifted_space, tgt.shifted_space, 0)
     return LInftyMorphism(src, tgt, comps)
 
@@ -577,7 +572,7 @@ class OmegaModel:
         return vec_clean(self.big.field, out)
 
 
-def homotopy_gauge_action(model, g, mu, max_arity=None):
+def homotopy_gauge_action(model, g, mu):
     """(g * mu, Phi): the transported point P(g . I(mu)) and the morphism
     of twisted algebras obtained by conjugating the retract with the
     group action."""
@@ -595,5 +590,5 @@ def homotopy_gauge_action(model, g, mu, max_arity=None):
     tgt_tw = big.twist(gImu).algebra(check_flat=False)
     G = LInftyMorphism(src_tw, tgt_tw, {1: f1})
     P_tw = twist_morphism(model.proj, gImu)
-    Phi = P_tw.compose(G.compose(I_tw, max_arity), max_arity)
+    Phi = P_tw.compose(G.compose(I_tw))
     return star, Phi

@@ -44,7 +44,7 @@ def repeat_kills(word, deg_of, antisym=False):
 
 
 class MultiLinearOp:
-    def __init__(self, source, target, arity, degree, symmetry="sym", entries=None):
+    def __init__(self, source, target, arity, degree, symmetry="sym"):
         assert symmetry in ("sym", "antisym", "none")
         self.source = source
         self.target = target
@@ -53,9 +53,6 @@ class MultiLinearOp:
         self.symmetry = symmetry
         self.field = source.field
         self.entries = {}
-        if entries:
-            for (ins, out), c in entries.items():
-                self.add_entry(ins, out, c)
 
     def _canon(self, ins):
         if self.symmetry == "none":

@@ -20,7 +20,7 @@ class QsSpace:
     """(C^n, trivial rank-r bundle, polynomial section) based at the
     origin; the section must vanish there."""
 
-    def __init__(self, nvars, rank, section, field=None, check=True):
+    def __init__(self, nvars, rank, section, field=None):
         from .scalars import QQ
 
         self.nvars = nvars
@@ -28,10 +28,9 @@ class QsSpace:
         self.field = field if field is not None else QQ
         self.section = list(section)
         assert len(self.section) == rank
-        if check:
-            for p in self.section:
-                if not self.field.is_zero(p.constant_term()):
-                    raise ValueError("section does not vanish at the basepoint")
+        for p in self.section:
+            if not self.field.is_zero(p.constant_term()):
+                raise ValueError("section does not vanish at the basepoint")
 
     def linear_part(self):
         """r x n matrix of the linearization at the origin."""
@@ -44,21 +43,19 @@ class QsSpace:
         J = jacobian(self.section, self.nvars)
         return eval_matrix(J, point)
 
-    def dg_tangent(self, point=None):
-        """Two-term tangent complex (degrees 1 -> 2) at a classical point."""
-        if point is None:
-            point = [self.field.zero] * self.nvars
+    def dg_tangent(self):
+        """Two-term tangent complex (degrees 1 -> 2) at the origin."""
         V = GradedSpace({1: self.nvars, 2: self.rank}, field=self.field)
         d = GradedMap(V, V, 1)
-        J = self.jacobian_at(point)
+        J = self.jacobian_at([self.field.zero] * self.nvars)
         for a in range(self.rank):
             for i in range(self.nvars):
                 if not self.field.is_zero(J[a][i]):
                     d.set_entry(V.index(2, a), V.index(1, i), J[a][i])
         return ChainComplex(V, d, check=False)
 
-    def tangent_cohomology(self, point=None):
-        return self.dg_tangent(point).cohomology_ranks()
+    def tangent_cohomology(self):
+        return self.dg_tangent().cohomology_ranks()
 
     def is_minimal(self):
         return all(self.field.is_zero(c) for row in self.linear_part() for c in row)
@@ -301,10 +298,11 @@ class MinimalDecomposition:
             bundle.append(row)
         return QsMorphism(self.adapted, self.adapted, base, bundle)
 
-    def verify(self, t_samples=(0, 1, Fraction(1, 2), 2, -1, 3)):
+    def verify(self):
         """All decomposition identities, exactly.  The homotopy identities
         are polynomial in t of bounded degree, so checking them at more
-        sample values than the degree is an exact verification."""
+        sample values than the degree (six here) is an exact
+        verification."""
         out = {}
         I, P = self.inclusion(), self.projection()
         out["inclusion compat"] = I.compat_defect()[0]
@@ -313,7 +311,7 @@ class MinimalDecomposition:
         out["H_1 = id"] = self.homotopy_at(1).is_identity()
         out["H_0 = I P"] = self.homotopy_at(0).eq(I.compose(P))
         ok = True
-        for t in t_samples:
+        for t in (0, 1, Fraction(1, 2), 2, -1, 3):
             Ht = self.homotopy_at(t)
             if not Ht.compat_defect()[0]:
                 ok = False
@@ -572,14 +570,14 @@ def _congruence_diagonalize(field, H):
     return P, diag
 
 
-def morse_thom_split(S, cutoff=None):
+def morse_thom_split(S):
     """Split off the nondegenerate quadratic part of a potential by a
     degree-by-degree polynomial change of coordinates:
-    S(change(z)) = sum c_i z_i^2 + p(z_rest) below the cutoff."""
+    S(change(z)) = sum c_i z_i^2 + p(z_rest) below the cutoff
+    max(deg S + 2, 6)."""
     field = S.field
     n = S.nvars
-    if cutoff is None:
-        cutoff = max(S.degree() + 2, 6)
+    cutoff = max(S.degree() + 2, 6)
     S2 = S.homogeneous_part(2)
     H = [[field.zero] * n for _ in range(n)]
     for e, c in S2.terms.items():

@@ -289,11 +289,11 @@ QQ = RationalField()
 QQi = GaussianRationalField()
 
 
-def get_field(name, tol=1e-10):
+def get_field(name):
     if name == "rational":
         return QQ
     if name == "rational-complex":
         return QQi
     if name == "float":
-        return FloatComplexField(tol)
+        return FloatComplexField()
     raise ValueError("unknown scalar mode %r" % name)

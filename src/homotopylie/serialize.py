@@ -143,8 +143,8 @@ def morphism_payload(mor):
     }
 
 
-def morphism_from_payload(payload, field=None):
-    field = field if field is not None else get_field(payload["scalar"])
+def morphism_from_payload(payload):
+    field = get_field(payload["scalar"])
     src = algebra_from_payload(payload["source"], field)
     tgt = algebra_from_payload(payload["target"], field)
     comps = {int(k): op_from_payload(entries, k, src.shifted_space, tgt.shifted_space, 0, field)
@@ -166,10 +166,10 @@ def retract_payload(ctx, mu=None):
     return out
 
 
-def retract_from_payload(payload, field=None):
+def retract_from_payload(payload):
     from .graded import ChainComplex
 
-    field = field if field is not None else get_field(payload["scalar"])
+    field = get_field(payload["scalar"])
     d_big = map_from_payload(payload["big_d"], field)
     d_small = map_from_payload(payload["small_d"], field)
     i = map_from_payload(payload["i"], field)
@@ -218,8 +218,8 @@ def section_payload(qs):
     }
 
 
-def section_from_payload(payload, field=None):
-    field = field if field is not None else get_field(payload["scalar"])
+def section_from_payload(payload):
+    field = get_field(payload["scalar"])
     if len(payload["section"]) != payload["rank"]:
         raise ValueError("section has %d components, rank is %r"
                          % (len(payload["section"]), payload["rank"]))
@@ -236,8 +236,8 @@ def bv_payload(bv):
     }
 
 
-def bv_from_payload(payload, field=None):
-    field = field if field is not None else get_field(payload["scalar"])
+def bv_from_payload(payload):
+    field = get_field(payload["scalar"])
     alg = algebra_from_payload(payload["algebra"], field)
     n, r = alg.space.dim(1), alg.space.dim(2)
     rows = payload["sigma"]
@@ -250,25 +250,25 @@ def bv_from_payload(payload, field=None):
 
 # ---------------------------------------------------------- orientations
 
-def cocycle_payload(oc, field=QQ):
+def cocycle_payload(oc):
     return {
         "n_vertices": oc.n_vertices,
-        "fibers": [field.to_json(field.coerce(v)) for v in oc.fiber_values],
+        "fibers": [QQ.to_json(QQ.coerce(v)) for v in oc.fiber_values],
         "transitions": [
-            [i, j, field.to_json(field.coerce(t))]
+            [i, j, QQ.to_json(QQ.coerce(t))]
             for (i, j), t in sorted(oc.transitions.items())
         ],
     }
 
 
-def cocycle_from_payload(payload, field=QQ):
+def cocycle_from_payload(payload):
     n = payload["n_vertices"]
-    fibers = [field.from_json(v) for v in payload["fibers"]]
+    fibers = [QQ.from_json(v) for v in payload["fibers"]]
     if len(fibers) != n:
         raise ValueError("%d fibers for %r vertices" % (len(fibers), n))
     transitions = {}
     for i, j, t in payload["transitions"]:
         if not all(isinstance(v, int) and 0 <= v < n for v in (i, j)):
             raise ValueError("transition %r, %r between vertices out of range" % (i, j))
-        transitions[(i, j)] = field.from_json(t)
+        transitions[(i, j)] = QQ.from_json(t)
     return OrientationCocycle(n, fibers, transitions)

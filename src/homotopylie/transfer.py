@@ -34,18 +34,17 @@ class RetractContext:
     p i = id, 1 - i p = d h + h d, and the side conditions
     h i = 0, p h = 0, h h = 0."""
 
-    def __init__(self, small, big, i, p, h, check=True):
+    def __init__(self, small, big, i, p, h):
         self.small = small
         self.big = big
         self.i = i
         self.p = p
         self.h = h
         self.field = big.field
-        if check:
-            errs = self.identity_defects()
-            bad = [k for k, v in errs.items() if not v]
-            if bad:
-                raise ValueError("retract identities fail: %s" % ", ".join(bad))
+        errs = self.identity_defects()
+        bad = [k for k, v in errs.items() if not v]
+        if bad:
+            raise ValueError("retract identities fail: %s" % ", ".join(bad))
 
     def identity_defects(self):
         i, p, h = self.i, self.p, self.h
@@ -72,12 +71,12 @@ class PerturbedRetract:
         self.h = h
 
 
-def _series(first, step, max_terms=MAX_NEUMANN_TERMS):
+def _series(first, step):
     """first + step(first) + step(step(first)) + ..., which must reach an
-    exact zero term."""
+    exact zero term within MAX_NEUMANN_TERMS terms."""
     acc = first
     term = first
-    for _ in range(max_terms):
+    for _ in range(MAX_NEUMANN_TERMS):
         term = step(term)
         if term.is_zero():
             return acc
@@ -85,14 +84,10 @@ def _series(first, step, max_terms=MAX_NEUMANN_TERMS):
     raise ValueError("perturbation series did not terminate (perturbation not nilpotent)")
 
 
-def hpl_perturb(d_small, d_big, i, p, h, mu, check_square=False):
+def hpl_perturb(d_small, d_big, i, p, h, mu):
     """Homological perturbation lemma over an exact field.  mu is a degree
-    +1 perturbation of d_big with (d_big + mu)^2 = 0.  Returns the
-    perturbed retract."""
-    if check_square:
-        dd = d_big + mu
-        if not (dd @ dd).is_zero():
-            raise ValueError("(d + mu)^2 != 0")
+    +1 perturbation of d_big with (d_big + mu)^2 = 0, which the caller
+    guarantees.  Returns the perturbed retract."""
     hm = h @ mu
     mh = mu @ h
     i_new = _series(i, lambda t: -(hm @ t))
@@ -108,30 +103,20 @@ def hpl_perturb(d_small, d_big, i, p, h, mu, check_square=False):
 class Splitting:
     """h with h^2 = 0, h d h = h, d h d = d on a complex (V, d)."""
 
-    def __init__(self, space, d, h, check=True):
+    def __init__(self, space, d, h):
         self.space = space
         self.d = d
         self.h = h
         self.field = space.field
-        if check:
-            if not (h @ h).is_zero():
-                raise ValueError("h^2 != 0")
-            if not (h @ d @ h).eq(h):
-                raise ValueError("h d h != h")
-            if not (d @ h @ d).eq(d):
-                raise ValueError("d h d != d")
+        if not (h @ h).is_zero():
+            raise ValueError("h^2 != 0")
+        if not (h @ d @ h).eq(h):
+            raise ValueError("h d h != h")
+        if not (d @ h @ d).eq(d):
+            raise ValueError("d h d != d")
 
     def laplacian(self):
         return self.d @ self.h + self.h @ self.d
-
-    def harmonic_space_basis(self):
-        """Per-degree basis of ker(laplacian) as columns."""
-        lap = self.laplacian()
-        out = {}
-        for deg in self.space.degrees():
-            M = lap.block(deg)
-            out[deg] = linalg.kernel_basis(self.field, M, self.space.dim(deg))
-        return out
 
 
 def standard_splitting(cc):
@@ -172,7 +157,7 @@ def splitting_to_retract(split):
     field = split.field
     V = split.space
     lap = split.laplacian()
-    kernels = split.harmonic_space_basis()
+    kernels = {deg: linalg.kernel_basis(field, lap.block(deg), V.dim(deg)) for deg in V.degrees()}
     dims = {deg: len(kernels[deg]) for deg in V.degrees() if kernels[deg]}
     labels = {deg: ["h%d_%d" % (deg, t) for t in range(n)] for deg, n in dims.items()}
     Hsp = GradedSpace(dims, labels, field)
@@ -198,12 +183,12 @@ class Gauge:
     """eta with eta^2 = 0 on (V, d); yields a Green operator and a
     splitting homotopy eta G."""
 
-    def __init__(self, space, d, eta, check=True):
+    def __init__(self, space, d, eta):
         self.space = space
         self.d = d
         self.eta = eta
         self.field = space.field
-        if check and not (eta @ eta).is_zero():
+        if not (eta @ eta).is_zero():
             raise ValueError("eta^2 != 0")
 
     def day_laplacian(self):
@@ -259,16 +244,15 @@ class TransferResult:
         self.context = context
 
 
-def homotopy_transfer(alg, ctx, arity_out=3, max_word_len=None):
+def homotopy_transfer(alg, ctx, arity_out=3):
     """Transfer the structure of `alg` along a retract of its underlying
     complex (big side must be (alg.space, l_1)) by the perturbation lemma
     on whole word spaces.  Test oracle for `tree_transfer`."""
     field = alg.field
     Vs = alg.shifted_space
     Ws = ctx.small.space.shifted(1)
-    N = max_word_len if max_word_len is not None else arity_out
-    dv = W.enumerate_words(Vs, N)
-    dw = W.enumerate_words(Ws, N)
+    dv = W.enumerate_words(Vs, arity_out)
+    dw = W.enumerate_words(Ws, arity_out)
     degV = Vs.degree_of
     degW = Ws.degree_of
 

@@ -57,14 +57,9 @@ def enumerate_words(space, max_len, min_len=1):
 class WordMap:
     """Column-sparse linear map between word bases."""
 
-    def __init__(self, field, cols=None):
+    def __init__(self, field):
         self.field = field
         self.cols = {}
-        if cols:
-            for w, col in cols.items():
-                c = {k: v for k, v in col.items() if not field.is_zero(v)}
-                if c:
-                    self.cols[w] = c
 
     def add_to(self, w_in, w_out, c):
         if self.field.is_zero(c):

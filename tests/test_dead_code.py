@@ -1,7 +1,8 @@
 """Dead-code guard: every function, method and class defined in the
-package is used somewhere in the repository, no module of the package
-imports a name it never uses, and no function of the package takes a
-parameter its body never reads.
+package is used somewhere in the repository, no module or function of the
+package imports a name it never uses, no function of the package takes a
+parameter its body never reads, and no parameter with a default is left
+at that default by every caller (`unset_defaults`: no dead flags).
 
 A name counts as used when it occurs, outside its own definition, as a
 name, an attribute, an imported name or a string constant (the benchmark
@@ -19,7 +20,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "homotopylie"
 SCANNED = ("src", "tests", "bench", "demos")
-DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFS = FUNCS + (ast.ClassDef,)
 
 
 def _trees(dirs):
@@ -60,19 +62,37 @@ def unreferenced_definitions():
     return dead
 
 
+def _imports_by_scope(node, scope):
+    """(import, scope) for every import under `node`: its scope is the
+    innermost function around it, or the module."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child, scope
+        yield from _imports_by_scope(child, child if isinstance(child, FUNCS) else scope)
+
+
+def _names_used(scope):
+    """Names read in a scope, string constants included (`__all__`)."""
+    return {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)} | {
+        n.value for n in ast.walk(scope) if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    }
+
+
 def unused_imports():
+    """Imports whose name is never used in their scope: the module for a
+    module-level import, the function body for an import inside a
+    function."""
     unused = []
     for path, tree in _trees(["src"]):
-        used = Counter(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
-        used += Counter(
-            n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)
-        )  # __all__
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+        used = {}
+        for node, scope in _imports_by_scope(tree, tree):
+            if getattr(node, "module", None) == "__future__":
                 continue
+            if id(scope) not in used:
+                used[id(scope)] = _names_used(scope)
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
-                if not used[bound]:
+                if bound not in used[id(scope)]:
                     unused.append("%s:%d %s" % (path.name, node.lineno, bound))
     return unused
 
@@ -83,7 +103,7 @@ def unread_parameters():
     unread = []
     for path, tree in _trees(["src"]):
         for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not isinstance(node, FUNCS):
                 continue
             a = node.args
             params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
@@ -97,6 +117,76 @@ def unread_parameters():
     return unread
 
 
+def _callee(func):
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _calls(node, cls=None):
+    """(callee name, call) for every call by name or attribute under
+    `node`; `cls(...)` inside a class is a call of that class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and _callee(child.func):
+            name = _callee(child.func)
+            yield (cls if name == "cls" and cls else name), child
+        yield from _calls(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+
+def unset_defaults():
+    """Parameters with a default that no call passes, by position or by
+    keyword.  Calls are matched by name, so a name collision can only hide
+    a finding: a call with *args or **kwargs passes every parameter, an
+    `__init__` is matched by its class name, and a function that is
+    referenced other than by a call (a callback, say) is skipped, because
+    its calls cannot be seen.  A class is not skipped for being referenced
+    (isinstance, a patched method): its instances still come from calls."""
+    passed = {}  # callee name -> positions and keywords some call passes
+    referenced = set()  # names that occur other than as a callee
+    trees = list(_trees(SCANNED))
+    for _, tree in trees:
+        callees = set()
+        for name, call in _calls(tree):
+            callees.add(id(call.func))
+            got = passed.setdefault(name, set())
+            got.update(range(len(call.args)))
+            got.update(k.arg for k in call.keywords)
+            if any(isinstance(a, ast.Starred) for a in call.args) or None in got:
+                got.add("*")
+        referenced.update(
+            _callee(n) for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute)) and id(n) not in callees
+        )
+    unset = []
+    for path, tree in trees:
+        if not path.is_relative_to(PACKAGE):
+            continue
+        methods = {
+            id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+            for f in c.body if isinstance(f, FUNCS)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, FUNCS) or node.name.startswith("__") and node.name != "__init__":
+                continue
+            name = methods[id(node)] if node.name == "__init__" else node.name
+            got = passed.get(name, set())
+            if "*" in got or (node.name != "__init__" and name in referenced):
+                continue
+            a = node.args
+            positional = a.posonlyargs + a.args
+            static = any(_callee(d) == "staticmethod" for d in node.decorator_list)
+            shift = 1 if id(node) in methods and not static else 0  # self or cls
+            first = len(positional) - len(a.defaults)
+            params = [(i - shift, p.arg) for i, p in enumerate(positional) if i >= first]
+            params += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            for position, arg in params:
+                if position not in got and arg not in got:
+                    unset.append("%s:%d %s(%s)" % (path.name, node.lineno, name, arg))
+    return unset
+
+
 def test_no_unreferenced_definitions():
     assert unreferenced_definitions() == []
 
@@ -107,3 +197,7 @@ def test_no_unused_imports_in_the_package():
 
 def test_no_unread_parameters_in_the_package():
     assert unread_parameters() == []
+
+
+def test_no_parameter_is_left_at_its_default_by_every_caller():
+    assert unset_defaults() == []

@@ -1,9 +1,9 @@
 """The exactness contract: no float enters an exact-mode result.
 
 Each test builds exact results from seeded random inputs and walks them
-with the guard of `exactness.py`: the generators, `minimal_model` (ops,
-inclusion and projection), `strong_decomposition`, the quasi-smooth
-decompositions and the BV layer.
+with the guard of `exactness.py`: the generators (also after a float
+conversion), `minimal_model` (ops, inclusion and projection),
+`strong_decomposition`, the quasi-smooth decompositions and the BV layer.
 """
 
 import random
@@ -32,6 +32,7 @@ from homotopylie.generators import (
     two_degree_dgla,
     weighted_nilpotent_dgla,
 )
+from homotopylie.mc import to_float_algebra
 from homotopylie.polynomial import MultiPoly
 from homotopylie.qs import dcrit, minimal_decomposition, morse_thom_split
 from homotopylie.scalars import FloatComplexField, GaussianRational
@@ -66,6 +67,12 @@ def test_generators_are_exact(seed):
     assert_exact(random_adaptable_section(rng))
     if seed % 5 == 0:
         assert_exact([lambda_dgla(), lambda_dgla(coupled=True), brst_circle()])
+
+
+def test_a_tower_stays_exact_after_its_float_conversion():
+    alg = lambda_dgla()
+    to_float_algebra(alg)
+    assert_exact(alg)
 
 
 @settings(max_examples=10, deadline=None)
