@@ -152,7 +152,7 @@ def validate_bv(bv, window=(1, 2)):
     origin = [field.zero] * n
 
     # precondition: quasi-smooth in the window at the origin
-    checks["quasi-smooth"] = alg.is_quasi_smooth({}, window=window)
+    checks["quasi-smooth"] = alg.is_quasi_smooth(window=window)
     if not checks["quasi-smooth"]:
         witness = ("precondition", origin)
 

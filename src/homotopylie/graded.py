@@ -9,14 +9,13 @@ stored as one dense block per source degree.
 from __future__ import annotations
 
 from . import linalg
+from .scalars import QQ
 
 
 class GradedSpace:
     def __init__(self, dims, labels=None, field=None):
         """dims: {degree: dimension}.  Generators are enumerated degree by
         degree (ascending), position within a degree in order."""
-        from .scalars import QQ
-
         self.field = field if field is not None else QQ
         self.dims = {d: n for d, n in sorted(dims.items()) if n > 0}
         self._basis = []  # list of (degree, position)

@@ -12,7 +12,11 @@ Q_T F - F Q_S a coderivation along F, and such a map of the cofree
 conilpotent cocommutative coalgebra is fixed by its corestriction, its
 length-1 part (Loday-Vallette, Algebraic Operads, ch. 10).  So both
 checks compute only that length-1 part, one word at a time, on the words
-up to a configurable length.  The first half of the morphism check,
+up to a configurable length.  pi_1 Q^2 is one sum over the selections of
+a word, `words.square_column`, and it is quadratic in the structure
+constants: over QQ `validate` scales them all by their common
+denominator D, sums in ints and divides only the witness by D^2.  The
+first half of the morphism check,
 pi_1 Q_T F, and the composite of two morphisms, pi_1 G F, are one sum
 over the set partitions of a word, `words.composite_column`.
 """
@@ -20,10 +24,11 @@ over the set partitions of a word, `words.composite_column`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .graded import GradedMap, ChainComplex, vec_clean
 from .multilinear import MultiLinearOp, to_shifted, to_unshifted
+from .scalars import QQ
 from . import words as W
 
 
@@ -80,14 +85,21 @@ class LInftyAlgebra:
         pi_1 Q^2 on subwords of w times the letters left over; on that
         first w all proper subwords give zero, hence Q^2(w) = pi_1 Q^2(w),
         and the witness (w, (o,), c) is the first nonzero column of Q^2
-        with its smallest output word."""
+        with its smallest output word.
+
+        The sum runs in ints over QQ: every term of pi_1 Q^2(w) is a
+        product of exactly two structure constants, so scaling all of
+        them by the common denominator D scales the defect by D^2, and
+        only the witness is divided back."""
         sp, field = self.shifted_space, self.field
-        evals = _evals(self.sops)
-
-        def square(w):
-            return W.corestriction(field, evals, W.coderivation_column(field, evals, w, sp.degree_of))
-
-        bad = _first_defect(W.enumerate_words(sp, n_check), square)
+        D, scaled = _integer_constants(field, self.sops)
+        evals = {k: by_word.get for k, by_word in scaled.items()}
+        canon = {}  # (o,) + rest -> canon_word, for this call
+        words = W.enumerate_words(sp, n_check)
+        bad = _first_defect(words, lambda w: W.square_column(field, evals, w, sp.degree_of, canon))
+        if bad is not None:
+            w, o, c = bad
+            bad = (w, o, field.div(c, D * D))
         return ValidationReport(bad is None, witness=bad, max_length=n_check)
 
     # ------------------------------------------------------------- tower
@@ -145,9 +157,10 @@ class LInftyAlgebra:
             out[idx] = d.apply({idx: self.field.one})
         return out
 
-    def is_quasi_smooth(self, mu=None, window=(1, 2)):
-        mu = mu or {}
-        cc = self.tangent_complex(mu)
+    def is_quasi_smooth(self, window=(1, 2)):
+        """True when the tangent complex at the origin has cohomology only
+        in the degrees of the window."""
+        cc = self.tangent_complex({})
         ranks = cc.cohomology_ranks()
         lo, hi = window
         return all(r == 0 for d, r in ranks.items() if d < lo or d > hi)
@@ -201,6 +214,20 @@ def _evals(ops):
     """{k: value of op_k on a canonical word} for a family of operations,
     each indexed once by input word."""
     return {k: op.by_word().get for k, op in ops.items()}
+
+
+def _integer_constants(field, ops):
+    """(D, {k: {word: {output: D * c}}}) for a family of operations: over
+    QQ, D is the lcm of the denominators of all constants, so every scaled
+    constant is an int; over any other field D = 1 and the constants are
+    kept as they are."""
+    if field is not QQ:
+        return 1, {k: op.by_word() for k, op in ops.items()}
+    D = lcm(*(c.denominator for op in ops.values() for c in op.entries.values()))
+    return D, {
+        k: {w: {o: c.numerator * (D // c.denominator) for o, c in col.items()} for w, col in op.by_word().items()}
+        for k, op in ops.items()
+    }
 
 
 def _first_defect(words, defect):
@@ -278,9 +305,10 @@ class Twist:
     def is_flat(self):
         return all(self.base.field.is_zero(c) for c in self.curvature.values())
 
-    def algebra(self, check_flat=True):
-        if check_flat and not self.is_flat:
-            raise ValueError("curved twist does not define a flat structure")
+    def algebra(self):
+        """The twisted operations as an algebra.  The curvature is not
+        checked here: `is_flat` reports it, and `tangent_complex` refuses
+        a curved twist."""
         return LInftyAlgebra(self.base.space, self.ops)
 
     def __repr__(self):

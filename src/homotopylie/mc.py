@@ -544,8 +544,8 @@ def twist_morphism(F, b):
     """Morphism between twisted algebras: components
     f_k^b = sum_j 1/j! f_{k+j}(b, ..., b, -), from the twist at b to the
     twist at the pushforward of b."""
-    src = F.source.twist(b).algebra(check_flat=False)
-    tgt = F.target.twist(F.apply_point(b)).algebra(check_flat=False)
+    src = F.source.twist(b).algebra()
+    tgt = F.target.twist(F.apply_point(b)).algebra()
     comps = twist_family(F.components, b, src.shifted_space, tgt.shifted_space, 0)
     return LInftyMorphism(src, tgt, comps)
 
@@ -586,8 +586,8 @@ def homotopy_gauge_action(model, g, mu):
     # its derivative ad(g) is a strict morphism
     ad_map = model.ad(g).shifted(1, big.shifted_space, big.shifted_space)
     f1 = _columns_op(_columns(ad_map), big.shifted_space, big.shifted_space, 0)
-    src_tw = big.twist(Imu).algebra(check_flat=False)
-    tgt_tw = big.twist(gImu).algebra(check_flat=False)
+    src_tw = big.twist(Imu).algebra()
+    tgt_tw = big.twist(gImu).algebra()
     G = LInftyMorphism(src_tw, tgt_tw, {1: f1})
     P_tw = twist_morphism(model.proj, gImu)
     Phi = P_tw.compose(G.compose(I_tw))

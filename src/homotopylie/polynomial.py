@@ -6,13 +6,13 @@ serialization use graded lexicographic term order so output is canonical.
 
 from __future__ import annotations
 
+from .scalars import QQ
+
 
 class MultiPoly:
     __slots__ = ("nvars", "field", "terms")
 
     def __init__(self, nvars, field=None, terms=None):
-        from .scalars import QQ
-
         self.nvars = nvars
         self.field = field if field is not None else QQ
         self.terms = {}

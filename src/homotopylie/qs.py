@@ -14,6 +14,7 @@ from .graded import GradedSpace, GradedMap, ChainComplex
 from .multilinear import MultiLinearOp
 from .linfty import LInftyAlgebra
 from .polynomial import MultiPoly, jacobian, eval_matrix, hadamard_factor
+from .scalars import QQ
 
 
 class QsSpace:
@@ -21,8 +22,6 @@ class QsSpace:
     origin; the section must vanish there."""
 
     def __init__(self, nvars, rank, section, field=None):
-        from .scalars import QQ
-
         self.nvars = nvars
         self.rank = rank
         self.field = field if field is not None else QQ
@@ -226,7 +225,9 @@ class MinimalDecomposition:
     forms in the original variables); Theta is the polynomial bundle
     change applied to the original section."""
 
-    def __init__(self, original, adapted, minimal, T, Theta, M_rows, n_min, n_con, exact=True):
+    exact = True  # the decomposition is built and checked in exact arithmetic
+
+    def __init__(self, original, adapted, minimal, T, Theta, M_rows, n_min, n_con):
         self.original = original
         self.adapted = adapted
         self.minimal = minimal
@@ -235,7 +236,6 @@ class MinimalDecomposition:
         self.M_rows = M_rows  # Hadamard remainders: n . M = lam_tilde(z,n) - lam_tilde(z,0)
         self.n_min = n_min
         self.n_con = n_con
-        self.exact = exact
         self.field = original.field
 
     # morphisms of the decomposition -------------------------------------
@@ -397,7 +397,7 @@ def minimal_decomposition(qs):
     deg_bound = max(p.degree() for p in qs.section)
     if r2 == 0:
         return MinimalDecomposition(qs, qs, qs, linalg.identity(field, n),
-                                    None, [], n, 0, exact=True)
+                                    None, [], n, 0)
 
     # low degree bounds usually suffice, so escalate instead of solving
     # the full-degree linearizer system outright
@@ -499,7 +499,7 @@ def minimal_decomposition(qs):
             row.append(hadamard_factor(diff, n1 + i))
         M_rows.append(row)
 
-    return MinimalDecomposition(qs, adapted, minimal, T, Theta, M_rows, n1, r2, exact=True)
+    return MinimalDecomposition(qs, adapted, minimal, T, Theta, M_rows, n1, r2)
 
 
 # --------------------------------------------------- quadratic splitting

@@ -558,11 +558,12 @@ class StrongDecomposition:
         self.source = source  # product algebra on H x N
 
 
-def strong_decomposition(alg, arity_out=3):
+def strong_decomposition(alg):
     """Split L as (minimal model) x (linear contractible) through an
-    L-infinity isomorphism, solved order by order.  The minimal model and
-    its retract come from `minimal_model`."""
+    L-infinity isomorphism, solved order by order up to arity 3.  The
+    minimal model and its retract come from `minimal_model`."""
     field = alg.field
+    arity_out = 3
     tr = minimal_model(alg, arity_out=arity_out)
     ctx = tr.context
     d, H = ctx.big.d, tr.small.space

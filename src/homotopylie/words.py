@@ -10,6 +10,8 @@ length-1 part of an operation family applied to such a column.  A
 coderivation of the cofree conilpotent cocommutative coalgebra (or a
 coderivation along a morphism) is fixed by its corestriction, so that
 length-1 part is all the identities Q^2 = 0 and Q_T F = F Q_S need.
+For Q^2 the two steps are one sum, `square_column`, which builds no
+column.
 
 A coalgebra map is fixed the same way, and the length-1 part of an
 operation family after S(inner) is one sum over set partitions,
@@ -174,6 +176,41 @@ def coderivation_column(field, evals, w, deg_of):
                 c = c if sgn * s2 == 1 else -c
                 out[wo] = out.get(wo, field.zero) + c
     return {wo: c for wo, c in out.items() if not field.is_zero(c)}
+
+
+def square_column(field, evals, w, deg_of, canon):
+    """pi_1 Q^2 at the word w, Q the coderivation of the family evals (as
+    in `coderivation_column`): `corestriction` of the coderivation's
+    column, summed in one pass without building the column.  Each
+    selection S of w with rest R and each output letter o of evals[|S|](S)
+    adds +- c_o evals[|R| + 1](canon((o,) + R)); a selection whose
+    |R| + 1 is no arity adds nothing and is skipped.  canon is the
+    caller's memo of `canon_word` by (o,) + R."""
+    out = {}
+    n = len(w)
+    for k, ev in evals.items():
+        outer = evals.get(n - k + 1)  # None for k > n too
+        if outer is None:
+            continue
+        for positions in combinations(range(n), k):
+            val = ev(tuple(w[p] for p in positions))
+            if not val:
+                continue
+            rest = tuple(w[p] for p in range(n) if p not in positions)
+            sgn = _select_sign(w, positions, deg_of)
+            for o, c in val.items():
+                key = (o,) + rest
+                hit = canon.get(key)
+                if hit is None:
+                    hit = canon[key] = canon_word(key, deg_of)
+                wo, s2 = hit
+                val2 = outer(wo) if wo is not None else None
+                if not val2:
+                    continue
+                c = c if sgn * s2 == 1 else -c
+                for o2, x in val2.items():
+                    out[o2] = out.get(o2, field.zero) + c * x
+    return {o: c for o, c in out.items() if not field.is_zero(c)}
 
 
 def corestriction(field, evals, column):

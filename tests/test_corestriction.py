@@ -9,11 +9,12 @@ partitions that all of these sums run over are checked on their own."""
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from hypothesis import given, settings, strategies as st
 
 from homotopylie import LInftyAlgebra, LInftyMorphism, MultiLinearOp
+from homotopylie.graded import GradedMap
 from homotopylie import words as W
 from homotopylie.generators import (
     nilpotent_tower_with_corruption,
@@ -68,17 +69,60 @@ def test_validate_matches_the_squared_coderivation(seed, n_check):
     assert not bad.validate(n_check).ok
 
 
+def raised_family(ops, rng):
+    """A copy of a family {k: op} with one structure constant of one
+    operation raised by 1."""
+    k = rng.choice(sorted(k for k, f in ops.items() if f.entries))
+    out = {}
+    for a, f in ops.items():
+        out[a] = MultiLinearOp(f.source, f.target, f.arity, f.degree, "sym")
+        out[a].entries = dict(f.entries)
+    word, o = rng.choice(sorted(out[k].entries))
+    out[k].add_entry(word, o, 1)
+    return out
+
+
 def raise_one_constant(mor, rng):
     """A copy of mor with one structure constant of one component raised
     by 1."""
-    k = rng.choice(sorted(k for k, f in mor.components.items() if f.entries))
-    comps = {}
-    for a, f in mor.components.items():
-        comps[a] = MultiLinearOp(f.source, f.target, f.arity, f.degree, "sym")
-        comps[a].entries = dict(f.entries)
-    word, out = rng.choice(sorted(comps[k].entries))
-    comps[k].add_entry(word, out, 1)
-    return LInftyMorphism(mor.source, mor.target, comps)
+    return LInftyMorphism(mor.source, mor.target, raised_family(mor.components, rng))
+
+
+def sign_presented(alg, rng):
+    """The same tower in a seeded basis e_i -> +-e_i."""
+    g = GradedMap(alg.space, alg.space, 0)
+    for d in alg.space.degrees():
+        n = alg.space.dim(d)
+        g.blocks[d] = [[rng.choice((1, -1)) if i == j else 0 for j in range(n)] for i in range(n)]
+    return alg.conjugate(g)
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=seeds)
+def test_validate_matches_the_squared_coderivation_on_fractional_towers(seed):
+    """validate scales the constants by their common denominator D and
+    divides the witness by D^2.  On the benchmark's kind of tower, whose
+    constants are mostly fractions (D > 1), and on a copy with one
+    constant raised by 1, the verdict and the witness equal the oracle's
+    for every length up to 3, and the witness coefficient is in normal
+    form: an int when it is integral."""
+    rng = random.Random(seed)
+    alg = sign_presented(weighted_nilpotent_dgla(rng, m=6), rng)
+    bad = LInftyAlgebra(alg.space, raised_family(alg.sops, rng))
+    assert lcm(*(c.denominator for op in bad.sops.values() for c in op.entries.values())) > 1
+    for tower in (alg, bad):
+        sp = tower.shifted_space
+        ws = W.enumerate_words(sp, 3)
+        Q = W.coderivation(tower.field, tower.sops, ws, sp.degree_of)
+        Q2 = Q.compose(Q)  # Q keeps or shortens words: its columns do not depend on the length bound
+        for n in (1, 2, 3):
+            rep = tower.validate(n)
+            assert rep.witness == first_nonzero_column(Q2, [w for w in ws if len(w) <= n])
+            assert rep.ok is (rep.witness is None)
+            if rep.witness is not None:
+                c = rep.witness[2]
+                assert type(c) is (int if c.denominator == 1 else Fraction)
+    assert alg.validate(3).ok
 
 
 @settings(max_examples=8, deadline=None)

@@ -2,7 +2,8 @@
 package is used somewhere in the repository, no module or function of the
 package imports a name it never uses, no function of the package takes a
 parameter its body never reads, and no parameter with a default is left
-at that default by every caller (`unset_defaults`: no dead flags).
+at that default by every caller (`unset_defaults`) or passed one and the
+same literal by every caller (`constant_arguments`): no dead flags.
 
 A name counts as used when it occurs, outside its own definition, as a
 name, an attribute, an imported name or a string constant (the benchmark
@@ -135,31 +136,40 @@ def _calls(node, cls=None):
         yield from _calls(child, child.name if isinstance(child, ast.ClassDef) else cls)
 
 
-def unset_defaults():
-    """Parameters with a default that no call passes, by position or by
-    keyword.  Calls are matched by name, so a name collision can only hide
-    a finding: a call with *args or **kwargs passes every parameter, an
-    `__init__` is matched by its class name, and a function that is
-    referenced other than by a call (a callback, say) is skipped, because
-    its calls cannot be seen.  A class is not skipped for being referenced
-    (isinstance, a patched method): its instances still come from calls."""
-    passed = {}  # callee name -> positions and keywords some call passes
-    referenced = set()  # names that occur other than as a callee
-    trees = list(_trees(SCANNED))
+def _call_index(trees):
+    """({callee name: what each call passes}, the names that occur other
+    than as a callee).  What a call passes maps each position and each
+    keyword to its argument node, and has the key "*" when the call has
+    *args or **kwargs, which may pass anything."""
+    calls, referenced = {}, set()
     for _, tree in trees:
         callees = set()
         for name, call in _calls(tree):
             callees.add(id(call.func))
-            got = passed.setdefault(name, set())
-            got.update(range(len(call.args)))
-            got.update(k.arg for k in call.keywords)
-            if any(isinstance(a, ast.Starred) for a in call.args) or None in got:
-                got.add("*")
+            got = dict(enumerate(call.args))
+            got.update((k.arg, k.value) for k in call.keywords if k.arg is not None)
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+                got["*"] = None
+            calls.setdefault(name, []).append(got)
         referenced.update(
             _callee(n) for n in ast.walk(tree)
             if isinstance(n, (ast.Name, ast.Attribute)) and id(n) not in callees
         )
-    unset = []
+    return calls, referenced
+
+
+def _defaulted_parameters(skip_referenced):
+    """("file:line function(parameter)", the argument node each call
+    passes for it or None) for every parameter with a default in the
+    package.  Calls are matched by name: a function with a call that has
+    *args or **kwargs is skipped, and an `__init__` is matched by its
+    class name.  With skip_referenced, a function that is referenced other
+    than by a call (a callback, say) is skipped too, because some of its
+    calls cannot be seen; a class is not skipped for being referenced
+    (isinstance, a patched method), as its instances still come from
+    calls."""
+    trees = list(_trees(SCANNED))
+    calls, referenced = _call_index(trees)
     for path, tree in trees:
         if not path.is_relative_to(PACKAGE):
             continue
@@ -171,8 +181,8 @@ def unset_defaults():
             if not isinstance(node, FUNCS) or node.name.startswith("__") and node.name != "__init__":
                 continue
             name = methods[id(node)] if node.name == "__init__" else node.name
-            got = passed.get(name, set())
-            if "*" in got or (node.name != "__init__" and name in referenced):
+            seen = calls.get(name, [])
+            if any("*" in got for got in seen) or (skip_referenced and node.name != "__init__" and name in referenced):
                 continue
             a = node.args
             positional = a.posonlyargs + a.args
@@ -182,9 +192,41 @@ def unset_defaults():
             params = [(i - shift, p.arg) for i, p in enumerate(positional) if i >= first]
             params += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
             for position, arg in params:
-                if position not in got and arg not in got:
-                    unset.append("%s:%d %s(%s)" % (path.name, node.lineno, name, arg))
-    return unset
+                label = "%s:%d %s(%s)" % (path.name, node.lineno, name, arg)
+                yield label, [got.get(position, got.get(arg)) for got in seen]
+
+
+def _literal(node):
+    """A key for a literal argument (a constant, a negative number, a
+    tuple of them, ...), equal for equal literals; None for any other
+    argument and for a missing one (None)."""
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return None
+    return ast.dump(node)
+
+
+def unset_defaults():
+    """Parameters with a default that no call passes, by position or by
+    keyword.  A name collision can only hide a finding."""
+    return [label for label, args in _defaulted_parameters(True) if all(a is None for a in args)]
+
+
+def constant_arguments():
+    """Parameters with a default that every call passes, all with one and
+    the same literal: a flag that no caller varies is as dead as one that
+    no caller sets.  A function referenced other than by a call is not
+    skipped here: a call that cannot be seen can only make a finding
+    spurious, which fails loudly, while skipping would hide every finding
+    under a name that collides with an attribute (`bv.algebra` and
+    `Twist.algebra`)."""
+    out = []
+    for label, args in _defaulted_parameters(False):
+        literals = set(map(_literal, args))
+        if len(literals) == 1 and None not in literals:
+            out.append(label)
+    return out
 
 
 def test_no_unreferenced_definitions():
@@ -201,3 +243,7 @@ def test_no_unread_parameters_in_the_package():
 
 def test_no_parameter_is_left_at_its_default_by_every_caller():
     assert unset_defaults() == []
+
+
+def test_no_parameter_is_passed_one_literal_by_every_caller():
+    assert constant_arguments() == []

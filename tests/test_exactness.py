@@ -95,7 +95,7 @@ def test_minimal_models_of_dcrit_towers_are_exact(coeffs):
 @given(seed=seeds)
 def test_strong_decompositions_are_exact(seed):
     alg = two_degree_dgla(random.Random(seed), n1=3, n2=2)
-    assert_exact(strong_decomposition(alg, arity_out=3))
+    assert_exact(strong_decomposition(alg))
 
 
 @settings(max_examples=5, deadline=None)

@@ -198,7 +198,7 @@ def test_strong_decomposition():
     rng = random.Random(41)
     for _ in range(4):
         alg = two_degree_dgla(rng, n1=3, n2=2)
-        dec = strong_decomposition(alg, arity_out=3)
+        dec = strong_decomposition(alg)
         phi = dec.morphism
         assert phi.defect(3) is None
         # linear part is an isomorphism degreewise
