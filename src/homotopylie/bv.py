@@ -127,14 +127,13 @@ def _quasi_iso_square(field, J, sigma_pt, n, r):
         row = [sigma_pt[a][i] for a in range(r)]
         row += [-J[a][i] for a in range(r)]
         M2.append(row)
-    rk1 = linalg.rank(field, M1) if n else 0
-    rk2 = linalg.rank(field, M2) if r else 0
-    if rk1 != n:
-        return False, ("kernel in degree 1", n - rk1)
-    if rk2 != n:
-        return False, ("cokernel in degree 2", n - rk2)
-    if rk1 + rk2 != 2 * r:
-        return False, ("middle cohomology", 2 * r - rk1 - rk2)
+    kernel, middle, cokernel = linalg.cone_cohomology(field, M1, M2, n)
+    if kernel:
+        return False, ("kernel in degree 1", kernel)
+    if cokernel:
+        return False, ("cokernel in degree 2", cokernel)
+    if middle:
+        return False, ("middle cohomology", middle)
     return True, None
 
 

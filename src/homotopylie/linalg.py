@@ -1,9 +1,14 @@
 """Dense linear algebra over an arbitrary scalar field.
 
-Matrices are plain lists of rows.  In exact modes elimination uses the
-first nonzero pivot; in float mode it uses partial pivoting by magnitude.
-Eliminations divide through `field.div` and store every entry they
-compute through `field.coerce`, so exact results stay in normal form.
+Matrices are plain lists of rows.  One Gauss-Jordan elimination, `rref`,
+answers every rank, kernel, solve, inverse, complement and determinant
+question, and each of them eliminates its matrix once: a solve or an
+inverse eliminates [A | B], a complement [cols | I], and a determinant
+reads the pivots and row swaps of A's own elimination.  In exact modes
+the pivot is the first nonzero entry; in float mode it is the largest
+entry above the tolerance.  The elimination divides through `field.div`
+and stores every entry it computes through `field.coerce`, so exact
+results stay in normal form.
 """
 
 from __future__ import annotations
@@ -88,13 +93,16 @@ def _pivot_row(field, M, c, start):
     return best
 
 
-def rref(field, A):
-    """Reduced row echelon form.  Returns (R, pivot_columns)."""
+def _eliminate(field, A):
+    """Gauss-Jordan elimination of A: (R, pivot_columns, d), where d is
+    the product of the pivots and of -1 per row swap, so d = det(A) when
+    A is square and every column has a pivot."""
     coerce = field.coerce
     R = [[coerce(x) for x in row] for row in A]
     m = len(R)
     n = len(R[0]) if m else 0
     pivots = []
+    d = field.one
     r = 0
     for c in range(n):
         if r >= m:
@@ -102,8 +110,11 @@ def rref(field, A):
         best = _pivot_row(field, R, c, r)
         if best is None:
             continue
-        R[r], R[best] = R[best], R[r]
+        if best != r:
+            R[r], R[best] = R[best], R[r]
+            d = -d
         piv = R[r][c]
+        d = d * piv
         R[r] = [field.div(x, piv) for x in R[r]]
         for i in range(m):
             if i != r and not field.is_zero(R[i][c]):
@@ -111,6 +122,12 @@ def rref(field, A):
                 R[i] = [coerce(x - f * y) for x, y in zip(R[i], R[r])]
         pivots.append(c)
         r += 1
+    return R, pivots, d
+
+
+def rref(field, A):
+    """Reduced row echelon form.  Returns (R, pivot_columns)."""
+    R, pivots, _ = _eliminate(field, A)
     return R, pivots
 
 
@@ -118,6 +135,13 @@ def rank(field, A):
     if not A or not A[0]:
         return 0
     return len(rref(field, A)[1])
+
+
+def cone_cohomology(field, M1, M2, n0):
+    """Dimensions (H^0, H^1, H^2) of the cohomology of a three-term
+    complex k^n0 --M1--> k^len(M1) --M2--> k^len(M2), from its two ranks."""
+    rk1, rk2 = rank(field, M1), rank(field, M2)
+    return n0 - rk1, len(M1) - rk1 - rk2, len(M2) - rk2
 
 
 def kernel_basis(field, A, n=None):
@@ -140,61 +164,34 @@ def kernel_basis(field, A, n=None):
 
 def solve(field, A, b):
     """One solution x of A x = b, or None when inconsistent."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    aug = [list(row) + [bv] for row, bv in zip(A, b)]
-    R, pivots = rref(field, aug)
-    if n in pivots:
-        return None
-    x = [field.zero] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][n]
-    return x
+    X = solve_matrix(field, A, [[bv] for bv in b])
+    return None if X is None else [row[0] for row in X]
 
 
 def solve_matrix(field, A, B):
-    """X with A X = B (column by column), or None."""
-    cols = transpose(B)
-    xs = []
-    for c in cols:
-        x = solve(field, A, c)
-        if x is None:
-            return None
-        xs.append(x)
-    return transpose(xs) if xs else [[] for _ in range(len(A[0]) if A else 0)]
+    """X with A X = B, or None when some column of B is out of reach: one
+    elimination of [A | B], free variables set to zero."""
+    n = len(A[0]) if A else 0
+    k = len(B[0]) if B else 0
+    R, pivots = rref(field, [list(a) + list(b) for a, b in zip(A, B)])
+    if pivots and pivots[-1] >= n:
+        return None
+    X = zeros(field, n, k)
+    for r, pc in enumerate(pivots):
+        X[pc] = R[r][n:]
+    return X
 
 
 def inverse(field, A):
-    n = len(A)
-    aug = [list(row) + list(idrow) for row, idrow in zip(A, identity(field, n))]
-    R, pivots = rref(field, aug)
-    if pivots != list(range(n)):
+    X = solve_matrix(field, A, identity(field, len(A)))
+    if X is None:
         raise ValueError("matrix not invertible")
-    return [row[n:] for row in R]
+    return X
 
 
 def det(field, A):
-    n = len(A)
-    if n == 0:
-        return field.one
-    coerce = field.coerce
-    M = [[coerce(x) for x in row] for row in A]
-    sign = field.one
-    d = field.one
-    for c in range(n):
-        best = _pivot_row(field, M, c, c)
-        if best is None:
-            return field.zero
-        if best != c:
-            M[c], M[best] = M[best], M[c]
-            sign = -sign
-        piv = M[c][c]
-        d = d * piv
-        for i in range(c + 1, n):
-            if not field.is_zero(M[i][c]):
-                f = field.div(M[i][c], piv)
-                M[i] = [coerce(x - f * y) for x, y in zip(M[i], M[c])]
-    return coerce(sign * d)
+    _, pivots, d = _eliminate(field, A)
+    return field.coerce(d) if len(pivots) == len(A) else field.zero
 
 
 def column_space_pivots(field, A):
@@ -204,17 +201,8 @@ def column_space_pivots(field, A):
 
 def complement_pivots(field, cols, m):
     """Extend the span of `cols` (length-m vectors) to all of k^m by
-    standard basis vectors; returns the indices of the chosen e_i."""
-    chosen = []
-    cur = list(cols)
-    for i in range(m):
-        e = [field.zero] * m
-        e[i] = field.one
-        trial = cur + [e]
-        if rank(field, trial) > rank(field, cur):
-            cur = trial
-            chosen.append(i)
-        if len(cur) == m:
-            if rank(field, cur) == m:
-                break
-    return chosen
+    standard basis vectors; returns the indices of the chosen e_i: the
+    pivots of [cols | I] that lie in I."""
+    k = len(cols)
+    aug = [[c[i] for c in cols] + e for i, e in enumerate(identity(field, m))]
+    return [p - k for p in column_space_pivots(field, aug) if p >= k]

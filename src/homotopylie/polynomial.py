@@ -205,16 +205,6 @@ class MultiPoly:
     def __repr__(self):
         return "MultiPoly(%s)" % format_poly(self, ["x%d" % i for i in range(self.nvars)])
 
-    def to_json(self):
-        return [[list(e), self.field.to_json(c)] for e, c in self.sorted_terms()]
-
-    @classmethod
-    def from_json(cls, nvars, data, field):
-        p = cls(nvars, field)
-        for e, c in data:
-            p.terms[tuple(e)] = field.from_json(c)
-        return p
-
 
 def format_poly(p, names):
     if p.is_zero():

@@ -201,13 +201,7 @@ def is_quasi_iso(morph, points):
         for a in range(r2):
             row = [B[a][b] for b in range(r1)] + [-J2[a][i] for i in range(n2)]
             M2.append(row)
-        rk1 = linalg.rank(field, M1) if M1 else 0
-        rk2 = linalg.rank(field, M2) if M2 else 0
-        if rk1 != n1:
-            return False
-        if rk1 + rk2 != r1 + n2:
-            return False
-        if rk2 != r2:
+        if any(linalg.cone_cohomology(field, M1, M2, n1)):
             return False
     return True
 
@@ -238,7 +232,8 @@ class MinimalDecomposition:
         self.n_con = n_con
         self.field = original.field
 
-    # morphisms of the decomposition -------------------------------------
+    # morphisms of the decomposition, built unchecked: `verify` decides
+    # their identities -----------------------------------------------------
 
     def inclusion(self):
         f = self.field
@@ -254,7 +249,7 @@ class MinimalDecomposition:
                     for b in range(rp)
                 ]
             )
-        return QsMorphism(self.minimal, self.adapted, base, bundle)
+        return QsMorphism(self.minimal, self.adapted, base, bundle, check=False)
 
     def projection(self):
         nv, f = self.adapted.nvars, self.field
@@ -268,7 +263,7 @@ class MinimalDecomposition:
             for i in range(self.n_con):
                 row.append(-self.M_rows[i][a])
             bundle.append(row)
-        return QsMorphism(self.adapted, self.minimal, base, bundle)
+        return QsMorphism(self.adapted, self.minimal, base, bundle, check=False)
 
     def homotopy_at(self, t):
         """The contraction at parameter value t, as an endomorphism of the
@@ -296,13 +291,14 @@ class MinimalDecomposition:
                     MultiPoly.constant(nv, t if i == j else f.zero, f)
                 )
             bundle.append(row)
-        return QsMorphism(self.adapted, self.adapted, base, bundle)
+        return QsMorphism(self.adapted, self.adapted, base, bundle, check=False)
 
     def verify(self):
-        """All decomposition identities, exactly.  The homotopy identities
-        are polynomial in t of bounded degree, so checking them at more
-        sample values than the degree (six here) is an exact
-        verification."""
+        """All decomposition identities, exactly.  H_t scales n to t n, so
+        its compat defect is sum_N (1 - t^|N|) G_N(z) n^N, where G is the
+        defect of the Hadamard rows M; it vanishes for every t exactly when
+        it vanishes at t = 0, one of the samples.  H_t I = I holds for
+        every t by construction."""
         out = {}
         I, P = self.inclusion(), self.projection()
         out["inclusion compat"] = I.compat_defect()[0]
@@ -400,20 +396,13 @@ def minimal_decomposition(qs):
                                     None, [], n, 0)
 
     # low degree bounds usually suffice, so escalate instead of solving
-    # the full-degree linearizer system outright
+    # the full-degree linearizer system outright; keep the first r2
+    # linearizers whose linear parts mu are independent
     chosen = []
     for db in range(1, deg_bound + 1):
         sols = _polynomial_linearizers(qs, db)
-        chosen = []
-        mu_rows = []
-        for theta, mu in sols:
-            if all(field.is_zero(c) for c in mu):
-                continue
-            if linalg.rank(field, mu_rows + [mu]) > len(mu_rows):
-                chosen.append((theta, mu))
-                mu_rows.append(mu)
-            if len(chosen) == r2:
-                break
+        piv = linalg.column_space_pivots(field, linalg.transpose([mu for _, mu in sols]))
+        chosen = [sols[j] for j in piv[:r2]]
         if len(chosen) == r2:
             break
     if len(chosen) < r2:
@@ -421,6 +410,7 @@ def minimal_decomposition(qs):
             "no exact polynomial adaptation at degree bound %d "
             "(found %d of %d fiber coordinates)" % (deg_bound, len(chosen), r2)
         )
+    mu_rows = [mu for _, mu in chosen]
 
     # source change: z = standard coordinates completing the mu rows
     z_idx = linalg.complement_pivots(field, mu_rows, n)
@@ -609,11 +599,9 @@ def morse_thom_split(S):
     cur = S.substitute(change)
 
     for m in range(3, cutoff + 1):
-        Rm = cur.homogeneous_part(m)
-        # part of Rm involving the split variables
-        shift = [MultiPoly.zero(n, field) for _ in range(d_split)] + zvars[d_split:]
-        Rm_rest = Rm.substitute(shift)
-        R = Rm - Rm_rest
+        # the degree-m monomials that involve a split variable
+        R = MultiPoly(n, field, {e: c for e, c in cur.terms.items()
+                                 if sum(e) == m and any(e[:d_split])})
         if R.is_zero():
             continue
         # write R = sum_i z_i h_i greedily and absorb via z_i -> z_i - h_i/(2 c_i)
@@ -634,9 +622,8 @@ def morse_thom_split(S):
     quad = MultiPoly.zero(n, field)
     for i, c in enumerate(coeffs):
         quad = quad + (zvars[i] * zvars[i]).scale(c)
-    shift = [MultiPoly.zero(n, field) for _ in range(d_split)] + zvars[d_split:]
-    residual_full = cur - quad
-    residual = residual_full.substitute(shift)
+    residual = MultiPoly(n, field, {e: c for e, c in (cur - quad).terms.items()
+                                    if not any(e[:d_split])})
     exact_res = S.substitute(change) - quad - residual
     exact = exact_res.is_zero()
     return MorseThomSplit(S, change, coeffs, residual, cutoff, exact)

@@ -270,5 +270,8 @@ def cocycle_from_payload(payload):
     for i, j, t in payload["transitions"]:
         if not all(isinstance(v, int) and 0 <= v < n for v in (i, j)):
             raise ValueError("transition %r, %r between vertices out of range" % (i, j))
-        transitions[(i, j)] = QQ.from_json(t)
+        t = QQ.from_json(t)
+        if t == 0:
+            raise ValueError("transition %r, %r is 0 and not invertible" % (i, j))
+        transitions[(i, j)] = t
     return OrientationCocycle(n, fibers, transitions)

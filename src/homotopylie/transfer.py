@@ -128,27 +128,17 @@ def standard_splitting(cc):
     for deg in V.degrees():
         tdeg = deg + 1
         B = cc.d.block(deg)  # V^deg -> V^{deg+1}
-        if not B or not B[0] or V.dim(tdeg) == 0:
+        if not B or not B[0]:
             continue
-        piv_cols = linalg.column_space_pivots(field, B)
-        if not piv_cols:
-            continue
-        im_cols = [[row[j] for j in piv_cols] for row in B]  # basis of im d
-        # complement of im d in V^{deg+1} by standard vectors
-        cols_list = [[r[j] for r in im_cols] for j in range(len(piv_cols))]
-        comp = linalg.complement_pivots(field, cols_list, V.dim(tdeg))
-        n_t = V.dim(tdeg)
-        Mcols = cols_list + [
-            [field.one if r == c else field.zero for r in range(n_t)] for c in comp
-        ]
-        Minv = linalg.inverse(field, linalg.transpose(Mcols))
-        # h(B e_j) = e_j for pivot columns, h = 0 on the complement
-        for r in range(n_t):
-            for a, j in enumerate(piv_cols):
-                coeff = Minv[a][r]
-                if not field.is_zero(coeff):
-                    cur = h.blocks[tdeg][j][r]
-                    h.blocks[tdeg][j][r] = cur + coeff
+        # one elimination of [B | I]: its pivots in B pick a basis of im d
+        # and its pivots in I a complement; its right block inverts
+        # [image basis | complement], so row a of it is h on the image
+        # of the a-th pivot column: h(B e_j) = e_j, h = 0 on the complement
+        n_s = len(B[0])
+        BI = [row + e for row, e in zip(B, linalg.identity(field, len(B)))]
+        R, pivots = linalg.rref(field, BI)
+        for a, j in enumerate(p for p in pivots if p < n_s):
+            h.blocks[tdeg][j] = R[a][n_s:]
     return Splitting(V, cc.d, h)
 
 
@@ -208,20 +198,17 @@ class Gauge:
             ker = linalg.kernel_basis(field, M, n)
             piv = linalg.column_space_pivots(field, M)
             im_cols = [[M[r][j] for r in range(n)] for j in piv]
-            basis_cols = im_cols + ker
-            if linalg.rank(field, basis_cols) != n:
+            Bmat = linalg.transpose(im_cols + ker)  # columns = (im | ker) basis
+            Binv = linalg.solve_matrix(field, Bmat, linalg.identity(field, n))
+            if Binv is None:
                 raise ValueError("gauge Laplacian kernel meets its image")
-            Bmat = linalg.transpose(basis_cols)  # columns = (im | ker) basis
-            Binv = linalg.inverse(field, Bmat)
-            # G on the basis: an image vector v maps to the unique preimage
-            # of v under A that lies in im A; zero on the kernel part
+            # G on the basis: an image vector M e_j maps to its unique
+            # preimage in im A.  e_j is one preimage, and any other differs
+            # from it by a kernel vector, whose coordinates are zeroed here
             r_im = len(piv)
             pre = []
-            for a in range(r_im):
-                x = linalg.solve(field, M, im_cols[a])
-                coords = linalg.mat_vec(field, Binv, x)
-                for t in range(r_im, n):
-                    coords[t] = field.zero
+            for j in piv:
+                coords = [Binv[t][j] if t < r_im else field.zero for t in range(n)]
                 pre.append(linalg.mat_vec(field, Bmat, coords))
             Gcols = pre + [[field.zero] * n for _ in ker]
             Gmat = linalg.mat_mul(field, linalg.transpose(Gcols), Binv)
@@ -612,10 +599,10 @@ def strong_decomposition(alg):
     for deg in S.degrees():
         nH = H.dim(deg)
         # d on N part: d(N_col) lies in V; rewrite in H+N coordinates of S
-        for t in range(Ndims.get(deg, 0)):
+        vs = [d.apply({alg.space.index(deg, r): c for r, c in enumerate(col)})
+              for col in Ncols.get(deg, [])]
+        for t, coords in enumerate(_coords_in_f1(field, f1, S, alg.space, vs, deg + 1)):
             src = S.index(deg, nH + t)
-            v = d.apply({alg.space.index(deg, r): c for r, c in enumerate(Ncols[deg][t])})
-            coords = _coords_in_f1(field, f1, S, alg.space, v, deg + 1)
             for o, c in coords.items():
                 dS.set_entry(o, src, c)
     srcops = {1: _columns_op(_columns(dS), S.shifted(1), S.shifted(1), 1)}
@@ -634,8 +621,9 @@ def strong_decomposition(alg):
     return StrongDecomposition(tr.small, Ndims, phi, source)
 
 
-def _coords_in_f1(field, f1, S, V, v, deg):
-    """Solve f1(x) = v within a single degree."""
+def _coords_in_f1(field, f1, S, V, vs, deg):
+    """Solve f1(x) = v within a single degree for every v of vs, by one
+    elimination."""
     idxs = S.indices_of_degree(deg)
     vidx = V.indices_of_degree(deg)
     cols = []
@@ -643,11 +631,12 @@ def _coords_in_f1(field, f1, S, V, v, deg):
         val = f1.eval_basis((s,))
         cols.append([val.get(t, field.zero) for t in vidx])
     A = linalg.transpose(cols)
-    b = [v.get(t, field.zero) for t in vidx]
-    x = linalg.solve(field, A, b)
-    if x is None:
+    B = [[v.get(t, field.zero) for v in vs] for t in vidx]
+    X = linalg.solve_matrix(field, A, B)
+    if X is None:
         raise ValueError("vector not in the linear image")
-    return {s: c for s, c in zip(idxs, x) if not field.is_zero(c)}
+    return [{s: row[j] for s, row in zip(idxs, X) if not field.is_zero(row[j])}
+            for j in range(len(vs))]
 
 
 def _solve_morphism_components(source, target, f1, arity_out):

@@ -223,6 +223,10 @@ def _cocycle_with_stray_edge():
     return serialize.cocycle_payload(oc)
 
 
+def _cocycle_with_zero_transition():
+    return {"n_vertices": 2, "fibers": ["1", "4"], "transitions": [[0, 1, "0"]]}
+
+
 MALFORMED = {
     "output index out of range": ("linfty_algebra", lambda: _tower_with(_set_output(999)),
                                   ["check", "transfer"]),
@@ -247,6 +251,7 @@ MALFORMED = {
                                      ["check", "qs-minimal-model"]),
     "sigma not r x n": ("bv_data", _bv_with_short_sigma, ["bv-verify"]),
     "edge to a missing vertex": ("orientation_cocycle", _cocycle_with_stray_edge, ["orient"]),
+    "transition that is 0": ("orientation_cocycle", _cocycle_with_zero_transition, ["orient"]),
 }
 
 

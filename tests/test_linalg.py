@@ -124,3 +124,86 @@ def test_det_and_inverse_match_sympy(A):
         x = linalg.solve(QQ, A, [sum(row) for row in A])
         assert x == [1] * len(A)
         assert_exact([inv, x])
+
+
+# solve_matrix, complement_pivots and det over QQ and QQi: QQ entries are
+# ints or Fractions as above, QQi entries Gaussian rationals
+def _entries(field):
+    if field is QQ:
+        return kinds.flatmap(lambda kind: st.integers(-2, 2).map(kind))
+    return st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
+
+
+def _matrix(field, m, n):
+    return st.lists(st.lists(_entries(field), min_size=n, max_size=n), min_size=m, max_size=m)
+
+
+def _to_sympy(sympy, A):
+    def conv(x):
+        g = x if isinstance(x, GaussianRational) else GaussianRational(x)
+        return sympy.Rational(g.re) + sympy.I * sympy.Rational(g.im)
+    return sympy.Matrix([[conv(x) for x in row] for row in A])
+
+
+fields = st.sampled_from([QQ, QQi])
+systems = st.tuples(fields, st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)).flatmap(
+    lambda f_m_n_k: st.tuples(
+        st.just(f_m_n_k[0]),
+        _matrix(f_m_n_k[0], f_m_n_k[1], f_m_n_k[2]),
+        _matrix(f_m_n_k[0], f_m_n_k[2], f_m_n_k[3]),  # X0: B = A X0 is consistent
+        _matrix(f_m_n_k[0], f_m_n_k[1], f_m_n_k[3]),  # a B that may not be
+        st.booleans(),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems)
+def test_solve_matrix_matches_sympy(system):
+    sympy = pytest.importorskip("sympy")
+    field, A, X0, B_free, consistent = system
+    B = linalg.mat_mul(field, A, X0) if consistent else B_free
+    M, MB = _to_sympy(sympy, A), _to_sympy(sympy, B)
+    X = linalg.solve_matrix(field, A, B)
+    if M.rank() < M.row_join(MB).rank():
+        assert X is None
+        return
+    assert X is not None and len(X) == len(A[0]) and all(len(row) == len(B[0]) for row in X)
+    assert linalg.is_zero_matrix(field, linalg.mat_sub(linalg.mat_mul(field, A, X), B))
+    assert_exact(X)
+
+
+def _greedy_complement(field, cols, m):
+    """The standard vectors that raise the rank of `cols`, added one at a
+    time: the rank-increase loop `complement_pivots` replaced."""
+    chosen, cur = [], list(cols)
+    for i in range(m):
+        e = [field.one if j == i else field.zero for j in range(m)]
+        if linalg.rank(field, cur + [e]) > linalg.rank(field, cur):
+            cur.append(e)
+            chosen.append(i)
+    return chosen
+
+
+spans = st.tuples(fields, st.integers(1, 4), st.integers(0, 4)).flatmap(
+    lambda f_m_k: st.tuples(st.just(f_m_k[0]), st.just(f_m_k[1]), _matrix(f_m_k[0], f_m_k[2], f_m_k[1]))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spans)
+def test_complement_pivots_match_the_greedy_loop(span):
+    field, m, cols = span
+    chosen = linalg.complement_pivots(field, cols, m)
+    assert chosen == _greedy_complement(field, cols, m)
+    basis = list(cols) + [[field.one if j == i else field.zero for j in range(m)] for i in chosen]
+    assert linalg.rank(field, basis) == m == len(chosen) + linalg.rank(field, cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: _matrix(QQi, n, n)))
+def test_det_over_gaussian_rationals_matches_sympy(A):
+    sympy = pytest.importorskip("sympy")
+    d = linalg.det(QQi, A)
+    assert_exact(d)
+    assert sympy.expand(_to_sympy(sympy, [[d]])[0, 0] - _to_sympy(sympy, A).det()) == 0

@@ -160,6 +160,16 @@ def test_minimal_decomposition_identities_exact():
             assert (dec.adapted.section[dec.adapted.rank - r2 + i] - want).is_zero()
 
 
+def test_verify_reports_a_corrupted_hadamard_row():
+    dec = minimal_decomposition(_scrambled_example())
+    dec.M_rows[0][0] = dec.M_rows[0][0] + var(dec.adapted.nvars, 0)
+    checks = dec.verify()
+    assert checks["projection compat"] is False
+    # H_t's compat defect at t = 0 is the same Hadamard defect
+    assert checks["H_t I = I"] is False
+    assert checks["inclusion compat"] and checks["P I = id"] and checks["H_0 = I P"]
+
+
 def test_minimal_decomposition_preserves_tangent_cohomology():
     qs = _scrambled_example()
     dec = minimal_decomposition(qs)
