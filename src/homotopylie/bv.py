@@ -12,7 +12,9 @@ import warnings
 from fractions import Fraction
 
 from . import linalg
-from .polynomial import MultiPoly, jacobian, eval_matrix
+from .polynomial import (
+    MultiPoly, jacobian, eval_matrix, constant_matrix, linear_forms, poly_matvec, poly_matmul,
+)
 from .scalars import QQ, GaussianRational
 
 
@@ -158,24 +160,18 @@ def validate_bv(bv, window=(1, 2)):
     # triangle: sigma . lambda = d S, exactly
     ok_tri = True
     grad = bv.S.gradient()
-    for i in range(n):
-        acc = MultiPoly.zero(n, field)
-        for a in range(r):
-            acc = acc + bv.sigma[a][i] * lam[a]
-        if not (acc - grad[i]).is_zero():
+    for i, (acc, dS) in enumerate(zip(poly_matmul([lam], bv.sigma, n, n, field)[0], grad)):
+        if not (acc - dS).is_zero():
             ok_tri = False
             if witness is None:
-                witness = ("triangle", (i, acc - grad[i]))
+                witness = ("triangle", (i, acc - dS))
             break
     checks["triangle"] = ok_tri
 
     # gauge invariance: contraction of d S with every anchor field is zero
     ok_gauge = True
     anchors = anchor_polynomials(alg)
-    for g, vf in anchors.items():
-        acc = MultiPoly.zero(n, field)
-        for i in range(n):
-            acc = acc + grad[i] * vf[i]
+    for g, acc in zip(anchors, poly_matvec(list(anchors.values()), grad, n, field)):
         if not acc.is_zero():
             ok_gauge = False
             if witness is None:
@@ -203,15 +199,7 @@ def canonical_dcrit_bv(S):
 
     qs = dcrit(S)
     alg = qs.to_linfty()
-    field = qs.field
-    n = qs.nvars
-    sigma = [
-        [
-            MultiPoly.constant(n, field.one if a == i else field.zero, field)
-            for i in range(n)
-        ]
-        for a in range(n)
-    ]
+    sigma = constant_matrix(qs.nvars, linalg.identity(qs.field, qs.nvars), qs.field)
     return BVData(alg, S, sigma)
 
 
@@ -224,19 +212,12 @@ def extend_by_contractible_bv(S, m):
     field = S.field
     n = S.nvars
     nn = n + m
-    pad = [MultiPoly.variable(nn, i, field) for i in range(n)]
-    section = [g.substitute(pad) for g in S.gradient()]
-    section += [MultiPoly.variable(nn, n + j, field) for j in range(m)]
-    qs = QsSpace(nn, nn, section, field)
+    xs = linear_forms(linalg.identity(field, nn), field)
+    pad = xs[:n]
+    qs = QsSpace(nn, nn, [g.substitute(pad) for g in S.gradient()] + xs[n:], field)
     alg = qs.to_linfty()
     S_big = S.substitute(pad)
-    sigma = []
-    for a in range(nn):
-        row = []
-        for i in range(nn):
-            one = a == i and a < n
-            row.append(MultiPoly.constant(nn, field.one if one else field.zero, field))
-        sigma.append(row)
+    sigma = constant_matrix(nn, linalg.identity(field, nn)[:n] + linalg.zeros(field, m, nn), field)
     return BVData(alg, S_big, sigma), qs
 
 
@@ -275,14 +256,7 @@ def potential_from_symplectic(alg, omega):
     section, when that one-form is closed."""
     field = alg.field
     n = alg.space.dim(1)
-    r = alg.space.dim(2)
-    lam = mc_polynomials(alg)
-    theta = []
-    for i in range(n):
-        acc = MultiPoly.zero(n, field)
-        for a in range(r):
-            acc = acc + omega[a][i] * lam[a]
-        theta.append(acc)
+    theta = poly_matmul([mc_polynomials(alg)], omega, n, n, field)[0]
     for i in range(n):
         for j in range(i + 1, n):
             if not (theta[i].diff(j) - theta[j].diff(i)).is_zero():
@@ -309,32 +283,18 @@ def pullback_bv(phi, bv_target):
     field = bv_target.field
     n_src = phi.source.nvars
     S_src = bv_target.S.substitute(phi.base)
-    J = jacobian(phi.base, n_src)
-    sigma_src = []
-    for b in range(phi.source.rank):
-        row = []
-        for j in range(n_src):
-            acc = MultiPoly.zero(n_src, field)
-            for a in range(phi.target.rank):
-                Bab = phi.bundle[a][b]
-                for i in range(phi.target.nvars):
-                    sig = bv_target.sigma[a][i].substitute(phi.base)
-                    acc = acc + Bab * sig * J[i][j]
-            row.append(acc)
-        sigma_src.append(row)
+    # sigma_src = B^T . sigma(base) . d base
+    sig = [[q.substitute(phi.base) for q in row] for row in bv_target.sigma]
+    sig_J = poly_matmul(sig, jacobian(phi.base, n_src), n_src, n_src, field)
+    B_T = [[row[b] for row in phi.bundle] for b in range(phi.source.rank)]
+    sigma_src = poly_matmul(B_T, sig_J, n_src, n_src, field)
     return BVData(phi.source.to_linfty(), S_src, sigma_src)
 
 
 def effective_action(split):
     """Quadratic part boxplus minimal part of a Morse-Thom split, as one
     polynomial in the split coordinates."""
-    field = split.original.field
-    n = split.original.nvars
-    quad = MultiPoly.zero(n, field)
-    for i, c in enumerate(split.quad_coeffs):
-        v = MultiPoly.variable(n, i, field)
-        quad = quad + (v * v).scale(c)
-    return quad + split.residual
+    return split.quadratic + split.residual
 
 
 # ------------------------------------------------------ metric structures

@@ -8,6 +8,7 @@ witness), 2 on malformed input or usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -254,7 +255,11 @@ def cmd_gen_examples(args):
 
 # ------------------------------------------------------------------ main
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.  Each subcommand names
+    its handler, which `main` looks up at call time, so a handler that is
+    replaced on the module (as a tracer does) is the one that runs."""
     ap = argparse.ArgumentParser(
         prog="homotopylie",
         description="exact homotopy Lie algebra computations",
@@ -264,28 +269,28 @@ def build_parser():
                         help="write outputs into DIR instead of stdout")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **extra):
+    def add(name, handler, **extra):
         p = sub.add_parser(name, parents=[common])
-        p.set_defaults(fn=fn)
+        p.set_defaults(handler=handler)
         for aname, kw in extra.items():
             p.add_argument("--" + aname.replace("_", "-"), **kw)
         return p
 
-    p = add("check", cmd_check,
+    p = add("check", "cmd_check",
             arity_check=dict(type=int, default=3, help="max word length"))
     p.add_argument("file")
 
-    p = add("transfer", cmd_transfer,
+    p = add("transfer", "cmd_transfer",
             arity_out=dict(type=int, default=3, help="highest transferred arity"))
     p.add_argument("file")
 
-    p = add("solve-mc", cmd_solve_mc,
+    p = add("solve-mc", "cmd_solve_mc",
             tol_mc=dict(type=float, default=1e-10),
             seed=dict(type=int, default=0),
             n_seeds=dict(type=int, default=10))
     p.add_argument("file")
 
-    p = add("nerve", cmd_nerve,
+    p = add("nerve", "cmd_nerve",
             tol_mc=dict(type=float, default=1e-10),
             seed=dict(type=int, default=0),
             n_seeds=dict(type=int, default=20),
@@ -293,22 +298,22 @@ def build_parser():
             format=dict(choices=["json", "text"], default="json"))
     p.add_argument("file")
 
-    p = add("dcrit", cmd_dcrit)
+    p = add("dcrit", "cmd_dcrit")
     p.add_argument("file")
 
-    p = add("morse-split", cmd_morse_split)
+    p = add("morse-split", "cmd_morse_split")
     p.add_argument("file")
 
-    p = add("qs-minimal-model", cmd_qs_minimal_model)
+    p = add("qs-minimal-model", "cmd_qs_minimal_model")
     p.add_argument("file")
 
-    p = add("bv-verify", cmd_bv_verify)
+    p = add("bv-verify", "cmd_bv_verify")
     p.add_argument("file")
 
-    p = add("orient", cmd_orient)
+    p = add("orient", "cmd_orient")
     p.add_argument("file")
 
-    add("gen-examples", cmd_gen_examples, seed=dict(type=int, default=0))
+    add("gen-examples", "cmd_gen_examples", seed=dict(type=int, default=0))
     return ap
 
 
@@ -319,7 +324,7 @@ def main(argv=None):
     except SystemExit as ex:
         return BAD_INPUT if ex.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return globals()[args.handler](args)
     except (OSError, ValueError, KeyError) as ex:
         sys.stderr.write("error: %s\n" % ex)
         return BAD_INPUT

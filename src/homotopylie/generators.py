@@ -12,7 +12,7 @@ from .scalars import QQ
 from .graded import GradedSpace, GradedMap, ChainComplex
 from .multilinear import MultiLinearOp
 from .linfty import LInftyAlgebra
-from .polynomial import MultiPoly
+from .polynomial import MultiPoly, constant_matrix, linear_forms, poly_matvec, poly_matmul
 from .transfer import Splitting, standard_splitting, splitting_to_retract
 from .qs import QsSpace, taylor_ops
 
@@ -307,46 +307,21 @@ def random_adaptable_section(rng, nvars=None):
     section += [MultiPoly.variable(nvars, n_min + i, QQ) for i in range(n_con)]
 
     # source scramble x -> T x
-    T = rand_invertible(rng, QQ, nvars)
-    xs = [MultiPoly.variable(nvars, i, QQ) for i in range(nvars)]
-    Tx = []
-    for i in range(nvars):
-        p = MultiPoly.zero(nvars, QQ)
-        for j in range(nvars):
-            if T[i][j]:
-                p = p + xs[j].scale(T[i][j])
-        Tx.append(p)
+    Tx = linear_forms(rand_invertible(rng, QQ, nvars), QQ)
     lam_T = [p.substitute(Tx) for p in section]
 
     # bundle scramble G = C (I + N): constant invertible times unipotent
     # polynomial, so G has a polynomial inverse
     C = rand_invertible(rng, QQ, r)
-    N = [[MultiPoly.zero(nvars, QQ) for _ in range(r)] for _ in range(r)]
-    for a in range(r):
-        N[a][a] = MultiPoly.constant(nvars, QQ.one, QQ)
+    N = constant_matrix(nvars, linalg.identity(QQ, r), QQ)
     # a single linear off-diagonal entry keeps the inverse bundle change
     # (hence the polynomial linearizer degree) small
     if r >= 2:
         a = rng.randrange(r - 1)
         b = rng.randrange(a + 1, r)
         N[a][b] = rand_poly(1, deg_cap=1)
-    G = []
-    for a in range(r):
-        row = []
-        for b in range(r):
-            acc = MultiPoly.zero(nvars, QQ)
-            for k in range(r):
-                if C[a][k]:
-                    acc = acc + N[k][b].scale(C[a][k])
-            row.append(acc)
-        G.append(row)
-    out = []
-    for a in range(r):
-        acc = MultiPoly.zero(nvars, QQ)
-        for b in range(r):
-            acc = acc + G[a][b] * lam_T[b]
-        out.append(acc)
-    return QsSpace(nvars, r, out)
+    G = poly_matmul(constant_matrix(nvars, C, QQ), N, r, nvars, QQ)
+    return QsSpace(nvars, r, poly_matvec(G, lam_T, nvars, QQ))
 
 # -------------------------------------------- gl2-coefficient dglas
 
@@ -500,6 +475,4 @@ def brst_circle(rho=((0, -1), (1, 0))):
                 q2.add_entry((g, V.index(1, j)), V.index(1, i), QQ.coerce(rho[i][j]))
                 q2.add_entry((g, V.index(2, i)), V.index(2, j), QQ.coerce(-rho[i][j]))
     alg = LInftyAlgebra(V, sops)
-    n = 2
-    sigma = [[MultiPoly.constant(n, QQ.coerce(1 if a == i else 0), QQ) for i in range(n)] for a in range(n)]
-    return BVData(alg, S, sigma)
+    return BVData(alg, S, constant_matrix(2, linalg.identity(QQ, 2), QQ))

@@ -4,7 +4,9 @@ Matrices are plain lists of rows.  One Gauss-Jordan elimination, `rref`,
 answers every rank, kernel, solve, inverse, complement and determinant
 question, and each of them eliminates its matrix once: a solve or an
 inverse eliminates [A | B], a complement [cols | I], and a determinant
-reads the pivots and row swaps of A's own elimination.  In exact modes
+reads the pivots and row swaps of A's own elimination.  `rref_kernel`
+reads a null space off an elimination, so a caller that needs both the
+pivots and the kernel of one matrix eliminates it once.  In exact modes
 the pivot is the first nonzero entry; in float mode it is the largest
 entry above the tolerance.  The elimination divides through `field.div`
 and stores every entry it computes through `field.coerce`, so exact
@@ -148,12 +150,18 @@ def kernel_basis(field, A, n=None):
     """Basis of the null space of A (vectors of length n = #columns)."""
     if n is None:
         n = len(A[0]) if A else 0
-    if not A or n == 0:
-        return [[field.one if i == j else field.zero for i in range(n)] for j in range(n)]
     R, pivots = rref(field, A)
-    free = [c for c in range(n) if c not in pivots]
+    return rref_kernel(field, R, pivots, n)
+
+
+def rref_kernel(field, R, pivots, n):
+    """The null space basis read off the reduced row echelon form R of a
+    matrix with n columns and these pivot columns: one vector per free
+    column."""
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         v = [field.zero] * n
         v[fc] = field.one
         for r, pc in enumerate(pivots):

@@ -1,7 +1,16 @@
-"""Sparse multivariate polynomials over a scalar field.
+"""Sparse multivariate polynomials over a scalar field, and the bundle
+maps built from them.
 
 Terms are stored as {exponent tuple: coefficient}; printing and
 serialization use graded lexicographic term order so output is canonical.
+
+A bundle map is a matrix of polynomials (a list of rows) acting on a
+section.  `constant_matrix` turns a matrix of scalars into one (an
+identity block is `linalg.identity`), `linear_forms` gives the linear
+substitution a matrix of scalars defines, and `poly_matvec` and
+`poly_matmul` are the products M . v and A . B.  Every shape carries its
+variable count and field, and `poly_matmul` its column count, so empty
+rows, columns and sums keep their shape.
 """
 
 from __future__ import annotations
@@ -242,3 +251,40 @@ def hadamard_factor(p, i):
         e2[i] -= 1
         q.terms[tuple(e2)] = c
     return q
+
+
+def constant_matrix(nvars, mat, field):
+    """A matrix of scalars as constant polynomials in `nvars` variables."""
+    return [[MultiPoly.constant(nvars, field.coerce(c), field) for c in row] for row in mat]
+
+
+def linear_forms(mat, field):
+    """The linear substitution x_i = sum_j mat[i][j] y_j: one polynomial
+    per row, in as many variables as the rows have entries."""
+    out = []
+    for row in mat:
+        n = len(row)
+        p = MultiPoly(n, field)
+        for j, c in enumerate(row):
+            if not field.is_zero(c):
+                p.terms[(0,) * j + (1,) + (0,) * (n - j - 1)] = field.coerce(c)
+        out.append(p)
+    return out
+
+
+def poly_matvec(mat, vec, nvars, field):
+    """mat . vec for polynomials in `nvars` variables."""
+    out = []
+    for row in mat:
+        acc = MultiPoly(nvars, field)
+        for m, v in zip(row, vec):
+            acc = acc + m * v
+        out.append(acc)
+    return out
+
+
+def poly_matmul(A, B, ncols, nvars, field):
+    """A . B for polynomials in `nvars` variables, where B has `ncols`
+    columns (B has no rows when the inner dimension is 0)."""
+    cols = [poly_matvec(A, [row[c] for row in B], nvars, field) for c in range(ncols)]
+    return [[col[a] for col in cols] for a in range(len(A))]

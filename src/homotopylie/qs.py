@@ -6,14 +6,16 @@ decompositions and Morse-type quadratic splittings.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from . import linalg
 from .graded import GradedSpace, GradedMap, ChainComplex
 from .multilinear import MultiLinearOp
 from .linfty import LInftyAlgebra
-from .polynomial import MultiPoly, jacobian, eval_matrix, hadamard_factor
+from .polynomial import (
+    MultiPoly, jacobian, eval_matrix, hadamard_factor,
+    constant_matrix, linear_forms, poly_matvec, poly_matmul,
+)
 from .scalars import QQ
 
 
@@ -109,14 +111,11 @@ class QsMorphism:
                 raise ValueError("bundle map does not intertwine sections: %r" % (witness,))
 
     def compat_defect(self):
-        lam_src = self.source.section
-        for a in range(self.target.rank):
-            lhs = MultiPoly.zero(self.source.nvars, self.field)
-            for b in range(self.source.rank):
-                lhs = lhs + self.bundle[a][b] * lam_src[b]
-            rhs = self.target.section[a].substitute(self.base)
-            if not (lhs - rhs).is_zero():
-                return False, (a, lhs - rhs)
+        lhs = poly_matvec(self.bundle, self.source.section, self.source.nvars, self.field)
+        for a, (left, lam) in enumerate(zip(lhs, self.target.section)):
+            defect = left - lam.substitute(self.base)
+            if not defect.is_zero():
+                return False, (a, defect)
         return True, None
 
     def base_jacobian_at(self, point):
@@ -133,29 +132,13 @@ class QsMorphism:
         """self after other."""
         base = [p.substitute(other.base) for p in self.base]
         outer = [[q.substitute(other.base) for q in row] for row in self.bundle]
-        bundle = []
-        for a in range(self.target.rank):
-            row = []
-            for c in range(other.source.rank):
-                acc = MultiPoly.zero(other.source.nvars, self.field)
-                for b in range(self.source.rank):
-                    acc = acc + outer[a][b] * other.bundle[b][c]
-                row.append(acc)
-            bundle.append(row)
+        bundle = poly_matmul(outer, other.bundle, other.source.rank, other.source.nvars, self.field)
         return QsMorphism(other.source, self.target, base, bundle, check=False)
 
     def is_identity(self):
         if self.source.nvars != self.target.nvars or self.source.rank != self.target.rank:
             return False
-        for i, p in enumerate(self.base):
-            if not (p - MultiPoly.variable(self.source.nvars, i, self.field)).is_zero():
-                return False
-        for a, row in enumerate(self.bundle):
-            for b, q in enumerate(row):
-                want = self.field.one if a == b else self.field.zero
-                if not (q - MultiPoly.constant(self.source.nvars, want, self.field)).is_zero():
-                    return False
-        return True
+        return self.eq(identity_morphism(self.source))
 
     def eq(self, other):
         for p, q in zip(self.base, other.base):
@@ -172,14 +155,8 @@ class QsMorphism:
 
 
 def identity_morphism(qs):
-    base = [MultiPoly.variable(qs.nvars, i, qs.field) for i in range(qs.nvars)]
-    bundle = [
-        [
-            MultiPoly.constant(qs.nvars, qs.field.one if a == b else qs.field.zero, qs.field)
-            for b in range(qs.rank)
-        ]
-        for a in range(qs.rank)
-    ]
+    base = linear_forms(linalg.identity(qs.field, qs.nvars), qs.field)
+    bundle = constant_matrix(qs.nvars, linalg.identity(qs.field, qs.rank), qs.field)
     return QsMorphism(qs, qs, base, bundle, check=False)
 
 
@@ -235,34 +212,28 @@ class MinimalDecomposition:
     # morphisms of the decomposition, built unchecked: `verify` decides
     # their identities -----------------------------------------------------
 
+    def _scaling(self, size, t):
+        """diag(1, ..., 1, t, ..., t), with t on the last n_con entries."""
+        D = linalg.identity(self.field, size)
+        for i in range(size - self.n_con, size):
+            D[i][i] = t
+        return D
+
     def inclusion(self):
         f = self.field
-        base = [MultiPoly.variable(self.n_min, i, f) for i in range(self.n_min)] + [
-            MultiPoly.zero(self.n_min, f) for _ in range(self.n_con)
-        ]
-        bundle = []
-        rp = self.minimal.rank
-        for a in range(self.adapted.rank):
-            bundle.append(
-                [
-                    MultiPoly.constant(self.n_min, f.one if a == b else f.zero, f)
-                    for b in range(rp)
-                ]
-            )
+        keep_z = [row[:self.n_min] for row in linalg.identity(f, self.adapted.nvars)]
+        base = linear_forms(keep_z, f)
+        first = [row[:self.minimal.rank] for row in linalg.identity(f, self.adapted.rank)]
+        bundle = constant_matrix(self.n_min, first, f)
         return QsMorphism(self.minimal, self.adapted, base, bundle, check=False)
 
     def projection(self):
         nv, f = self.adapted.nvars, self.field
-        base = [MultiPoly.variable(nv, i, f) for i in range(self.n_min)]
-        rp = self.minimal.rank
-        bundle = []
-        for a in range(rp):
-            row = []
-            for b in range(rp):
-                row.append(MultiPoly.constant(nv, f.one if a == b else f.zero, f))
-            for i in range(self.n_con):
-                row.append(-self.M_rows[i][a])
-            bundle.append(row)
+        base = linear_forms(linalg.identity(f, nv)[:self.n_min], f)
+        bundle = [
+            row + [-M[a] for M in self.M_rows]
+            for a, row in enumerate(constant_matrix(nv, linalg.identity(f, self.minimal.rank), f))
+        ]
         return QsMorphism(self.adapted, self.minimal, base, bundle, check=False)
 
     def homotopy_at(self, t):
@@ -270,52 +241,35 @@ class MinimalDecomposition:
         adapted model: base (z, t n), bundle mixing in the Hadamard rows."""
         f = self.field
         t = f.coerce(t)
-        nv = self.adapted.nvars
+        base = linear_forms(self._scaling(self.adapted.nvars, t), f)
+        bundle = constant_matrix(self.adapted.nvars, self._scaling(self.adapted.rank, t), f)
         rp = self.minimal.rank
-        base = [MultiPoly.variable(nv, i, f) for i in range(self.n_min)] + [
-            MultiPoly.variable(nv, self.n_min + i, f).scale(t) for i in range(self.n_con)
-        ]
-        bundle = []
         for a in range(rp):
-            row = []
-            for b in range(rp):
-                row.append(MultiPoly.constant(nv, f.one if a == b else f.zero, f))
-            for i in range(self.n_con):
-                Mt = self.M_rows[i][a].substitute(base).scale(t)
-                row.append(-self.M_rows[i][a] + Mt)
-            bundle.append(row)
-        for i in range(self.n_con):
-            row = [MultiPoly.zero(nv, f) for _ in range(rp)]
-            for j in range(self.n_con):
-                row.append(
-                    MultiPoly.constant(nv, t if i == j else f.zero, f)
-                )
-            bundle.append(row)
+            for i, M in enumerate(self.M_rows):
+                bundle[a][rp + i] = M[a].substitute(base).scale(t) - M[a]
         return QsMorphism(self.adapted, self.adapted, base, bundle, check=False)
 
     def verify(self):
-        """All decomposition identities, exactly.  H_t scales n to t n, so
-        its compat defect is sum_N (1 - t^|N|) G_N(z) n^N, where G is the
-        defect of the Hadamard rows M; it vanishes for every t exactly when
-        it vanishes at t = 0, one of the samples.  H_t I = I holds for
-        every t by construction."""
+        """All decomposition identities, exactly, from two homotopies.
+
+        H_t scales n to t n.  Write K = lam_tilde - n . M and G(z, n) =
+        K(z, n) - K(z, 0), the projection's compat defect.  H_t's compat
+        defect is then G(z, n) - G(z, t n) = sum_N (1 - t^|N|) G_N(z) n^N
+        in the lam_tilde rows and 0 in the n rows; the terms with |N| = 0
+        cancel for every t.  So it vanishes for every t exactly when it
+        vanishes at t = 0.  On the slice n = 0, H_t is the identity in z
+        and its bundle columns that I reads are I's, so H_t I does not
+        depend on t.  H_0 therefore decides both "H_0 = I P" and
+        "H_t I = I"; H_1 is built only for "H_1 = id"."""
         out = {}
         I, P = self.inclusion(), self.projection()
+        H0 = self.homotopy_at(0)
         out["inclusion compat"] = I.compat_defect()[0]
         out["projection compat"] = P.compat_defect()[0]
         out["P I = id"] = P.compose(I).is_identity()
         out["H_1 = id"] = self.homotopy_at(1).is_identity()
-        out["H_0 = I P"] = self.homotopy_at(0).eq(I.compose(P))
-        ok = True
-        for t in (0, 1, Fraction(1, 2), 2, -1, 3):
-            Ht = self.homotopy_at(t)
-            if not Ht.compat_defect()[0]:
-                ok = False
-                break
-            if not Ht.compose(I).eq(I):
-                ok = False
-                break
-        out["H_t I = I"] = ok
+        out["H_0 = I P"] = H0.eq(I.compose(P))
+        out["H_t I = I"] = H0.compat_defect()[0] and H0.compose(I).eq(I)
         return out
 
 
@@ -358,7 +312,7 @@ def _polynomial_linearizers(qs, deg_bound):
         for col, c in rows_by_mono[tot].items():
             row[col] = c
         A.append(row)
-    kern = linalg.kernel_basis(field, A, nunk) if A else linalg.kernel_basis(field, [], nunk)
+    kern = linalg.kernel_basis(field, A, nunk)
     out = []
     for v in kern:
         theta = []
@@ -369,12 +323,7 @@ def _polynomial_linearizers(qs, deg_bound):
                 if not field.is_zero(c):
                     p.terms[m] = c
             theta.append(p)
-        # linear part of theta . lam
-        mu = [field.zero] * n
-        for a in range(r):
-            prod = theta[a] * qs.section[a]
-            lv = prod.linear_part_vector()
-            mu = [x + y for x, y in zip(mu, lv)]
+        mu = poly_matvec([theta], qs.section, n, field)[0].linear_part_vector()
         out.append((theta, mu))
     return out
 
@@ -416,12 +365,8 @@ def minimal_decomposition(qs):
     z_idx = linalg.complement_pivots(field, mu_rows, n)
     n1 = n - r2
     assert len(z_idx) == n1
-    T = []
-    for i in z_idx:
-        e = [field.zero] * n
-        e[i] = field.one
-        T.append(e)
-    T.extend(mu_rows)
+    E = linalg.identity(field, n)
+    T = [E[i] for i in z_idx] + mu_rows
     Tinv = linalg.inverse(field, T)
 
     # target rows: constant rows completing theta(0), whose rows are
@@ -431,32 +376,14 @@ def minimal_decomposition(qs):
     assert len(kappa_idx) == r - r2
 
     # substitution x = Tinv . y
-    yvars = [MultiPoly.variable(n, j, field) for j in range(n)]
-    x_of_y = []
-    for i in range(n):
-        p = MultiPoly.zero(n, field)
-        for j in range(n):
-            if not field.is_zero(Tinv[i][j]):
-                p = p + yvars[j].scale(Tinv[i][j])
-        x_of_y.append(p)
+    x_of_y = linear_forms(Tinv, field)
     lam_y = [p.substitute(x_of_y) for p in qs.section]
 
-    new_section = []
-    Theta = []
-    for a in kappa_idx:
-        row = [
-            MultiPoly.constant(n, field.one if b == a else field.zero, field)
-            for b in range(r)
-        ]
-        Theta.append(row)
-        new_section.append(lam_y[a])
-    for theta, _mu in chosen:
-        theta_y = [t.substitute(x_of_y) for t in theta]
-        Theta.append(theta_y)
-        acc = MultiPoly.zero(n, field)
-        for b in range(r):
-            acc = acc + theta_y[b] * lam_y[b]
-        new_section.append(acc)
+    units = constant_matrix(n, linalg.identity(field, r), field)
+    Theta = [units[a] for a in kappa_idx] + [
+        [t.substitute(x_of_y) for t in theta] for theta, _mu in chosen
+    ]
+    new_section = poly_matvec(Theta, lam_y, n, field)
 
     # sanity: the last r2 components are exactly the n coordinates
     for i in range(r2):
@@ -469,25 +396,20 @@ def minimal_decomposition(qs):
     lam_tilde = new_section[:rp]
 
     # minimal section: z variables only
-    proj_z = [MultiPoly.variable(n1, i, field) for i in range(n1)] + [
-        MultiPoly.zero(n1, field) for _ in range(r2)
-    ]
+    proj_z = linear_forms([row[:n1] for row in E], field)
     minimal = QsSpace(n1, rp, [p.substitute(proj_z) for p in lam_tilde], field)
 
-    # Hadamard rows: lam_tilde(z,n) - lam_tilde(z,0) = sum_i n_i M_i
-    M_rows = []
-    partials = []
-    for i in range(r2 + 1):
-        sub = [MultiPoly.variable(n, j, field) for j in range(n1 + i)] + [
-            MultiPoly.zero(n, field) for _ in range(r2 - i)
-        ]
-        partials.append([p.substitute(sub) for p in lam_tilde])
-    for i in range(r2):
-        row = []
-        for a in range(rp):
-            diff = partials[i + 1][a] - partials[i][a]
-            row.append(hadamard_factor(diff, n1 + i))
-        M_rows.append(row)
+    # Hadamard rows: lam_tilde(z,n) - lam_tilde(z,0) = sum_i n_i M_i, from
+    # partials[i] = lam_tilde with every n_j, j >= i, set to 0
+    partials = [
+        [p.substitute(linear_forms(E[:n1 + i] + linalg.zeros(field, r2 - i, n), field))
+         for p in lam_tilde]
+        for i in range(r2 + 1)
+    ]
+    M_rows = [
+        [hadamard_factor(partials[i + 1][a] - partials[i][a], n1 + i) for a in range(rp)]
+        for i in range(r2)
+    ]
 
     return MinimalDecomposition(qs, adapted, minimal, T, Theta, M_rows, n1, r2)
 
@@ -495,13 +417,25 @@ def minimal_decomposition(qs):
 # --------------------------------------------------- quadratic splitting
 
 class MorseThomSplit:
-    def __init__(self, original, change, quad_coeffs, residual, cutoff, exact):
+    """S(change(z)) = quadratic + residual, where quadratic = sum c_i z_i^2
+    over the split variables and the residual is the part of `reduced`
+    (S(change(z)) below the cutoff) that involves none of them; `exact`
+    when the identity holds without truncation."""
+
+    def __init__(self, original, change, quad_coeffs, reduced, cutoff):
+        n, field = original.nvars, original.field
         self.original = original
         self.change = change  # substitution: new vars -> old expression of S
         self.quad_coeffs = quad_coeffs  # c_i for the sum c_i z_i^2 part
-        self.residual = residual  # polynomial in the remaining variables
+        self.quadratic = MultiPoly(n, field, {
+            (0,) * i + (2,) + (0,) * (n - i - 1): field.coerce(c)
+            for i, c in enumerate(quad_coeffs)
+        })
+        k = len(quad_coeffs)
+        self.residual = MultiPoly(n, field, {e: c for e, c in (reduced - self.quadratic).terms.items()
+                                             if not any(e[:k])})
         self.cutoff = cutoff
-        self.exact = exact
+        self.exact = (self.reconstructed() - self.quadratic - self.residual).is_zero()
 
     @property
     def split_rank(self):
@@ -587,15 +521,7 @@ def morse_thom_split(S):
     d_split = sum(1 for i in range(n) if not field.is_zero(diag[i]))
     coeffs = [diag[i] for i in order[:d_split]]
     # linear change: old x = P . (reordered z)
-    zvars = [MultiPoly.variable(n, j, field) for j in range(n)]
-    change = []
-    for i in range(n):
-        p = MultiPoly.zero(n, field)
-        for jz, jorig in enumerate(order):
-            c = P[i][jorig]
-            if not field.is_zero(c):
-                p = p + zvars[jz].scale(c)
-        change.append(p)
+    change = linear_forms([[row[j] for j in order] for row in P], field)
     cur = S.substitute(change)
 
     for m in range(3, cutoff + 1):
@@ -605,7 +531,7 @@ def morse_thom_split(S):
         if R.is_zero():
             continue
         # write R = sum_i z_i h_i greedily and absorb via z_i -> z_i - h_i/(2 c_i)
-        subs = list(zvars)
+        subs = linear_forms(linalg.identity(field, n), field)
         work = R
         for i in range(d_split):
             hi = hadamard_factor(work, i)
@@ -619,11 +545,4 @@ def morse_thom_split(S):
         change = [p.substitute(subs).truncate(cutoff) for p in change]
         cur = S.substitute(change).truncate(cutoff)
 
-    quad = MultiPoly.zero(n, field)
-    for i, c in enumerate(coeffs):
-        quad = quad + (zvars[i] * zvars[i]).scale(c)
-    residual = MultiPoly(n, field, {e: c for e, c in (cur - quad).terms.items()
-                                    if not any(e[:d_split])})
-    exact_res = S.substitute(change) - quad - residual
-    exact = exact_res.is_zero()
-    return MorseThomSplit(S, change, coeffs, residual, cutoff, exact)
+    return MorseThomSplit(S, change, coeffs, cur, cutoff)

@@ -32,6 +32,8 @@ def dumps(kind, payload):
 
 def loads(text, kind=None):
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not isinstance(doc.get("payload"), dict):
+        raise ValueError("a document is an object whose payload is an object")
     if doc.get("version") != VERSION:
         raise ValueError("unsupported document version %r" % doc.get("version"))
     if kind is not None and doc.get("kind") != kind:
@@ -197,11 +199,18 @@ def poly_payload(p):
 
 def poly_from_payload(payload, field, nvars=None):
     """A polynomial, checked to have `nvars` variables when given."""
+    if not isinstance(payload, dict):
+        raise ValueError("polynomial %r is not an object" % (payload,))
     n = payload["nvars"]
+    if not (isinstance(n, int) and n >= 0):
+        raise ValueError("polynomial in %r variables" % (n,))
     if nvars is not None and n != nvars:
         raise ValueError("polynomial in %r variables, expected %d" % (n, nvars))
+    terms = payload["terms"]
+    if not (isinstance(terms, list) and all(isinstance(t, list) and len(t) == 2 for t in terms)):
+        raise ValueError("polynomial terms %r are not a list of [exponent, coefficient]" % (terms,))
     p = MultiPoly(n, field)
-    for e, c in payload["terms"]:
+    for e, c in terms:
         if not (isinstance(e, list) and len(e) == n
                 and all(isinstance(m, int) and m >= 0 for m in e)):
             raise ValueError("exponent %r is not %r nonnegative integers" % (e, n))
@@ -220,6 +229,10 @@ def section_payload(qs):
 
 def section_from_payload(payload):
     field = get_field(payload["scalar"])
+    if not (isinstance(payload["nvars"], int) and payload["nvars"] >= 0):
+        raise ValueError("section in %r variables" % (payload["nvars"],))
+    if not isinstance(payload["section"], list):
+        raise ValueError("section %r is not a list" % (payload["section"],))
     if len(payload["section"]) != payload["rank"]:
         raise ValueError("section has %d components, rank is %r"
                          % (len(payload["section"]), payload["rank"]))
@@ -241,7 +254,8 @@ def bv_from_payload(payload):
     alg = algebra_from_payload(payload["algebra"], field)
     n, r = alg.space.dim(1), alg.space.dim(2)
     rows = payload["sigma"]
-    if len(rows) != r or any(len(row) != n for row in rows):
+    if not (isinstance(rows, list) and len(rows) == r
+            and all(isinstance(row, list) and len(row) == n for row in rows)):
         raise ValueError("sigma must be %d x %d" % (r, n))
     S = poly_from_payload(payload["action"], field, n)
     sigma = [[poly_from_payload(p, field, n) for p in row] for row in rows]

@@ -195,8 +195,8 @@ class Gauge:
             n = self.space.dim(deg)
             if n == 0:
                 continue
-            ker = linalg.kernel_basis(field, M, n)
-            piv = linalg.column_space_pivots(field, M)
+            R, piv = linalg.rref(field, M)
+            ker = linalg.rref_kernel(field, R, piv, n)
             im_cols = [[M[r][j] for r in range(n)] for j in piv]
             Bmat = linalg.transpose(im_cols + ker)  # columns = (im | ker) basis
             Binv = linalg.solve_matrix(field, Bmat, linalg.identity(field, n))

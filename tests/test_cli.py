@@ -206,10 +206,40 @@ def _float_tower_with_three_part_coefficient():
     return payload
 
 
+def _section():
+    return serialize.section_payload(dcrit(MultiPoly.variable(1, 0, QQ) ** 3))
+
+
 def _section_with_extra_row():
-    payload = serialize.section_payload(dcrit(MultiPoly.variable(1, 0, QQ) ** 3))
+    payload = _section()
     payload["section"].append(payload["section"][0])
     return payload
+
+
+def _section_with(key, value):
+    payload = _section()
+    payload[key] = value
+    return payload
+
+
+def _section_with_null_terms():
+    payload = _section()
+    payload["section"][0]["terms"] = None
+    return payload
+
+
+def _potential_with_int_terms():
+    return dict(serialize.poly_payload(MultiPoly.variable(2, 0, QQ) ** 3), scalar="rational", terms=3)
+
+
+def _bv_with(key, value):
+    payload = serialize.bv_payload(canonical_dcrit_bv(MultiPoly.variable(2, 0, QQ) ** 3))
+    payload[key] = value
+    return payload
+
+
+def _bv_with_null_sigma_row():
+    return _bv_with("sigma", [None, None])
 
 
 def _bv_with_short_sigma():
@@ -249,7 +279,21 @@ MALFORMED = {
                                            ["check", "transfer"]),
     "section longer than its rank": ("qs_section", _section_with_extra_row,
                                      ["check", "qs-minimal-model"]),
+    "section whose nvars is null": ("qs_section", lambda: _section_with("nvars", None),
+                                    ["check", "qs-minimal-model"]),
+    "section that is an int": ("qs_section", lambda: _section_with("section", 3),
+                               ["check", "qs-minimal-model"]),
+    "section component that is null": ("qs_section", lambda: _section_with("section", [None]),
+                                       ["check", "qs-minimal-model"]),
+    "section component whose terms are null": ("qs_section", _section_with_null_terms,
+                                               ["check", "qs-minimal-model"]),
+    "section payload that is a list": ("qs_section", lambda: [_section()],
+                                       ["check", "qs-minimal-model"]),
+    "polynomial whose terms are an int": ("polynomial", _potential_with_int_terms, ["dcrit", "morse-split"]),
     "sigma not r x n": ("bv_data", _bv_with_short_sigma, ["bv-verify"]),
+    "sigma that is an int": ("bv_data", lambda: _bv_with("sigma", 3), ["bv-verify"]),
+    "sigma with a null row": ("bv_data", _bv_with_null_sigma_row, ["bv-verify"]),
+    "action that is null": ("bv_data", lambda: _bv_with("action", None), ["bv-verify"]),
     "edge to a missing vertex": ("orientation_cocycle", _cocycle_with_stray_edge, ["orient"]),
     "transition that is 0": ("orientation_cocycle", _cocycle_with_zero_transition, ["orient"]),
 }

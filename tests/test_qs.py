@@ -1,8 +1,16 @@
+import os
 import random
 from fractions import Fraction
 
-from homotopylie import QQ
-from homotopylie.polynomial import MultiPoly, hadamard_factor
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from homotopylie import QQ, serialize
+from homotopylie.cli import main
+from homotopylie.generators import random_adaptable_section
+from homotopylie.polynomial import (
+    MultiPoly, hadamard_factor, constant_matrix, linear_forms, poly_matvec, poly_matmul,
+)
 from homotopylie.qs import (
     QsSpace,
     QsMorphism,
@@ -53,6 +61,92 @@ def test_hadamard_factor_exact():
     q = hadamard_factor(p, 0)
     # p - p|_{x=0} = x * q
     assert (p - p.substitute([const(2, 0), y]) - x * q).is_zero()
+
+
+# ------------------------------------------- bundle maps against sympy
+
+def _sym(p, xs):
+    """A polynomial as a sympy expression in the symbols xs."""
+    return sum((sympy.Rational(c.numerator, c.denominator) * sympy.prod([x ** k for x, k in zip(xs, e)])
+                for e, c in p.terms.items()), sympy.Integer(0))
+
+
+def _sym_matrix(M, nrows, ncols, xs):
+    return sympy.Matrix(nrows, ncols, [_sym(p, xs) for row in M for p in row])
+
+
+def _same(got, want, nrows, ncols, xs):
+    """got (a list of rows of polynomials) has the shape and the entries
+    of the sympy matrix want."""
+    assert len(got) == nrows and all(len(row) == ncols for row in got)
+    assert (_sym_matrix(got, nrows, ncols, xs) - want).expand() == sympy.zeros(nrows, ncols)
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+dims = st.integers(0, 3)
+
+
+def polys(nvars):
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    return st.dictionaries(exps, rationals, max_size=3).map(lambda t: MultiPoly(nvars, QQ, t))
+
+
+def poly_matrices(nvars, nrows, ncols):
+    return st.lists(st.lists(polys(nvars), min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+def scalar_matrices(nrows, ncols):
+    return st.lists(st.lists(rationals, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def matmul_cases(draw):
+    nvars, m, k, n = draw(st.integers(0, 2)), draw(dims), draw(dims), draw(dims)
+    return nvars, m, k, n, draw(poly_matrices(nvars, m, k)), draw(poly_matrices(nvars, k, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matmul_cases())
+def test_poly_matmul_and_matvec_match_sympy(case):
+    nvars, m, k, n, A, B = case
+    xs = sympy.symbols("x0:%d" % nvars)
+    want = _sym_matrix(A, m, k, xs) * _sym_matrix(B, k, n, xs)
+    _same(poly_matmul(A, B, n, nvars, QQ), want, m, n, xs)
+    for c in range(n):
+        col = poly_matvec(A, [row[c] for row in B], nvars, QQ)
+        _same([[p] for p in col], want[:, c], m, 1, xs)
+
+
+@st.composite
+def substitution_cases(draw):
+    m, n = draw(dims), draw(dims)
+    return m, n, draw(scalar_matrices(m, n)), draw(polys(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(substitution_cases())
+def test_constant_matrix_and_linear_forms_match_sympy(case):
+    m, n, A, q = case
+    ys = sympy.symbols("y0:%d" % n)
+    SA = sympy.Matrix(m, n, [sympy.Rational(c.numerator, c.denominator) for row in A for c in row])
+    _same(constant_matrix(n, A, QQ), SA, m, n, ys)
+    forms = linear_forms(A, QQ)
+    _same([[p] for p in forms], SA * sympy.Matrix(n, 1, list(ys)), m, 1, ys)
+    if m:  # the substitution x = A y, on a polynomial in the m variables x
+        xs = sympy.symbols("x0:%d" % m)
+        want = _sym(q, xs).subs(dict(zip(xs, SA * sympy.Matrix(n, 1, list(ys)))), simultaneous=True)
+        _same([[q.substitute(forms)]], sympy.Matrix([[want]]), 1, 1, ys)
+
+
+def test_compose_through_a_rank_zero_bundle_keeps_its_columns():
+    z = var(1, 0)
+    cusp, line = dcrit(z * z * z), QsSpace(1, 0, [])
+    onto_line = QsMorphism(cusp, line, [z], [], check=False)
+    from_line = QsMorphism(line, cusp, [z], [[]], check=False)
+    composite = from_line.compose(onto_line)
+    assert len(composite.bundle) == 1 and len(composite.bundle[0]) == 1
+    assert composite.bundle[0][0].is_zero()
 
 
 # ------------------------------------------------------- towers from sections
@@ -168,6 +262,41 @@ def test_verify_reports_a_corrupted_hadamard_row():
     # H_t's compat defect at t = 0 is the same Hadamard defect
     assert checks["H_t I = I"] is False
     assert checks["inclusion compat"] and checks["P I = id"] and checks["H_0 = I P"]
+
+
+def _example_sections(tmp_path):
+    """The sections of `gen-examples --seed 1..5`, and random adaptable
+    sections in 2, 3 and 4 variables from three seeds."""
+    out = []
+    for seed in range(1, 6):
+        ex = str(tmp_path / ("ex%d" % seed))
+        assert main(["gen-examples", "--seed", str(seed), "--out", ex]) == 0
+        for name in ("section_0.json", "section_1.json"):
+            with open(os.path.join(ex, name)) as fh:
+                out.append(serialize.section_from_payload(serialize.loads(fh.read(), "qs_section")[1]))
+    out += [random_adaptable_section(random.Random(s), nvars=nv) for s in range(3) for nv in (2, 3, 4)]
+    return out
+
+
+SAMPLED_T = (F(1, 2), 2, -1, 3)
+
+
+def test_homotopy_samples_agree_with_the_decision_at_t_0(tmp_path):
+    # verify decides "H_t I = I" from H_0 alone; the other samples of t
+    # must give the same answer, on sound and on corrupted decompositions
+    for qs in _example_sections(tmp_path):
+        dec = minimal_decomposition(qs)
+        assert dec.n_con > 0 and all(dec.verify().values())
+        I = dec.inclusion()
+        for t in SAMPLED_T:
+            Ht = dec.homotopy_at(t)
+            assert Ht.compat_defect()[0], t
+            assert Ht.compose(I).eq(I), t
+    bad = minimal_decomposition(_scrambled_example())
+    bad.M_rows[0][0] = bad.M_rows[0][0] + var(bad.adapted.nvars, 0)
+    assert bad.verify()["H_t I = I"] is False
+    for t in SAMPLED_T:
+        assert not bad.homotopy_at(t).compat_defect()[0], t
 
 
 def test_minimal_decomposition_preserves_tangent_cohomology():
