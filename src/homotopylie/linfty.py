@@ -92,7 +92,7 @@ class LInftyAlgebra:
         them by the common denominator D scales the defect by D^2, and
         only the witness is divided back."""
         sp, field = self.shifted_space, self.field
-        D, scaled = _integer_constants(field, self.sops)
+        D, scaled = _integer_constants(field, {k: op.by_word() for k, op in self.sops.items()})
         evals = {k: by_word.get for k, by_word in scaled.items()}
         canon = {}  # (o,) + rest -> canon_word, for this call
         words = W.enumerate_words(sp, n_check)
@@ -216,17 +216,17 @@ def _evals(ops):
     return {k: op.by_word().get for k, op in ops.items()}
 
 
-def _integer_constants(field, ops):
-    """(D, {k: {word: {output: D * c}}}) for a family of operations: over
-    QQ, D is the lcm of the denominators of all constants, so every scaled
-    constant is an int; over any other field D = 1 and the constants are
-    kept as they are."""
+def _integer_constants(field, family):
+    """(D, {k: {word: {output: D * c}}}) for a family of sparse maps
+    {k: {word: {output: c}}}: over QQ, D is the lcm of the denominators
+    of all constants, so every scaled constant is an int; over any other
+    field D = 1 and the constants are kept as they are."""
     if field is not QQ:
-        return 1, {k: op.by_word() for k, op in ops.items()}
-    D = lcm(*(c.denominator for op in ops.values() for c in op.entries.values()))
+        return 1, family
+    D = lcm(*(c.denominator for cols in family.values() for col in cols.values() for c in col.values()))
     return D, {
-        k: {w: {o: c.numerator * (D // c.denominator) for o, c in col.items()} for w, col in op.by_word().items()}
-        for k, op in ops.items()
+        k: {w: {o: c.numerator * (D // c.denominator) for o, c in col.items()} for w, col in cols.items()}
+        for k, cols in family.items()
     }
 
 
@@ -256,13 +256,14 @@ def taylor_sum(field, ops, x, head=()):
 
 def twist_family(ops, b, source, target, degree):
     """The family twisted by b, of shifted degree 0:
-    {k: sum_j 1/j! op_{k+j}(b, ..., b, -)}, k >= 1, zero ones dropped."""
+    {k: sum_j 1/j! op_{k+j}(b, ..., b, -)}, k >= 1, zero ones dropped.
+    Every term with j >= 1 vanishes when b = 0."""
     out = {}
     for k in range(1, max(ops, default=0) + 1):
         acc = MultiLinearOp(source, target, k, degree, "sym")
         for m, op in ops.items():
             j = m - k
-            if j < 0:
+            if j < 0 or (j and not b):
                 continue
             c = source.field.coerce(Fraction(1, factorial(j)))
             # b sits in shifted degree 0, so insertion needs no signs

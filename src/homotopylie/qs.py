@@ -103,12 +103,20 @@ class QsMorphism:
         self.source = source
         self.target = target
         self.field = source.field
-        self.base = list(base)
-        self.bundle = [list(row) for row in bundle]
+        # a substitution into a space with no variables gives scalars
+        # (`MultiPoly.substitute` has no polynomial to build on): they are
+        # constants in the source's variables
+        self.base = [self._poly(p) for p in base]
+        self.bundle = [[self._poly(p) for p in row] for row in bundle]
         if check:
             ok, witness = self.compat_defect()
             if not ok:
                 raise ValueError("bundle map does not intertwine sections: %r" % (witness,))
+
+    def _poly(self, p):
+        if isinstance(p, MultiPoly):
+            return p
+        return MultiPoly.constant(self.source.nvars, self.field.coerce(p), self.field)
 
     def compat_defect(self):
         lhs = poly_matvec(self.bundle, self.source.section, self.source.nvars, self.field)

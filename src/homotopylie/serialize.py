@@ -48,6 +48,8 @@ def space_payload(space):
 
 
 def space_from_payload(payload, field=None):
+    if not isinstance(payload["dims"], dict):
+        raise ValueError("dims must be an object: %r" % (payload["dims"],))
     dims = {int(d): n for d, n in payload["dims"].items()}
     if not all(isinstance(n, int) and n >= 0 for n in dims.values()):
         raise ValueError("dimensions must be nonnegative integers: %r" % (payload["dims"],))
@@ -109,6 +111,8 @@ def op_from_payload(entries, k, source, target, degree, field):
     k = int(k)
     if k < 1:
         raise ValueError("arity %d is not positive" % k)
+    if not isinstance(entries, list):
+        raise ValueError("the entries of arity %d must be a list: %r" % (k, entries))
     op = MultiLinearOp(source, target, k, degree, "sym")
     for entry in entries:
         if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], list)):
@@ -131,6 +135,8 @@ def algebra_from_payload(payload, field=None):
     field = field if field is not None else get_field(payload["scalar"])
     space = space_from_payload(payload, field)
     sp = space.shifted(1)
+    if not isinstance(payload["ops"], dict):
+        raise ValueError("ops must be an object: %r" % (payload["ops"],))
     sops = {int(k): op_from_payload(entries, k, sp, sp, 1, field)
             for k, entries in payload["ops"].items()}
     return LInftyAlgebra(space, sops)
@@ -281,7 +287,10 @@ def cocycle_from_payload(payload):
     if len(fibers) != n:
         raise ValueError("%d fibers for %r vertices" % (len(fibers), n))
     transitions = {}
-    for i, j, t in payload["transitions"]:
+    for edge in payload["transitions"]:
+        if not (isinstance(edge, list) and len(edge) == 3):
+            raise ValueError("transition %r is not [i, j, value]" % (edge,))
+        i, j, t = edge
         if not all(isinstance(v, int) and 0 <= v < n for v in (i, j)):
             raise ValueError("transition %r, %r between vertices out of range" % (i, j))
         t = QQ.from_json(t)

@@ -6,9 +6,10 @@ minimal models and strong decompositions.
 and the retract that `minimal_model` returns.  It sums the perturbation
 series column by column (tree recursion for the operations and the
 inclusion, memoized recursion for the projection) and builds no map of
-whole word spaces.  The projection is computed only on its live words,
-found by running its recursion backwards on supports before any exact
-arithmetic.  `homotopy_transfer` (the perturbation lemma
+whole word spaces.  The tree recursion runs only on products of blocks
+with a nonzero inclusion, in integers over QQ.  The projection is
+computed only on its live words, found by running its recursion
+backwards on supports before any exact arithmetic.  `homotopy_transfer` (the perturbation lemma
 `hpl_perturb` on word spaces) and `dgla_tree_transfer` are kept as test
 oracles; the engine's structure constants equal `homotopy_transfer`'s
 exactly.
@@ -21,8 +22,8 @@ from __future__ import annotations
 
 from . import linalg
 from .graded import GradedSpace, GradedMap, ChainComplex, vec_clean
-from .multilinear import MultiLinearOp
-from .linfty import LInftyAlgebra, LInftyMorphism
+from .multilinear import MultiLinearOp, repeat_kills
+from .linfty import LInftyAlgebra, LInftyMorphism, _integer_constants
 from . import words as W
 
 MAX_NEUMANN_TERMS = 64
@@ -312,6 +313,18 @@ def tree_transfer(alg, ctx, arity_out=3):
                  +- q_k(I(B_1), ..., I(B_k)),
       I(x) = i(x),  I(w) = -h theta(w) for |w| >= 2,
     with transferred operations l_k = p theta and inclusion components I.
+    I is known on every shorter word before a length n is reached, so
+    theta(w) can be nonzero only when w is the product of m blocks with a
+    nonzero I, m an arity of q: theta, l_n and I are computed on those
+    words only (`_block_products`), and the partition sum visits only
+    partitions into such blocks.  The recursion runs in integers: with
+    D_i, D_h, D_p and D_q the lcms of the denominators of i, h, p and all
+    q_k over QQ (1 over any other field), the maps i' = D_i i,
+    h' = D_h h, p' = D_p p and q'_m = D_q^(m-1) D_h^(m-2) q_m are
+    integral.  A tree on n letters has sum (m_j - 1) = n - 1 over its
+    nodes, so I'(w) = D_i^n (D_h D_q)^(n-1) I(w) and
+    p' theta'(w) = D_p D_i^n D_q^(n-1) D_h^(n-2) l_n(w): one division
+    per output entry.
     On a word w over V[1] the second gives the projection components
       f(x) = p(x),  f(w) = -f(mu S(h) w) for |w| >= 2,
     from one column of S(h) and the mu columns of its output words.
@@ -329,39 +342,47 @@ def tree_transfer(alg, ctx, arity_out=3):
     ip_c = {x: _apply(field, i_c, v) for x, v in p_c.items()}
     q = {k: op.by_word() for k, op in alg.sops.items() if k >= 2}
     q_evals = {k: index.get for k, index in q.items()}
-    thetas, incs = {}, {}  # memos over words on W[1]
 
-    def theta(w):
-        if w not in thetas:
-            thetas[w] = W.composite_column(field, q_evals, blocks, w, degW, degV)
-        return thetas[w]
-
-    def inclusion(w):
-        if len(w) == 1:
-            return i_c[w[0]]
-        if w not in incs:
-            # I has degree 0: a word of a degree V[1] lacks maps to zero
-            ok = W.word_degree(w, degW) in Vs.dims
-            incs[w] = _neg(_apply(field, h_c, theta(w))) if ok else {}
-        return incs[w]
-
-    # q has no arity 1, so every block of a word is shorter than the word
-    blocks = {k: inclusion for k in range(1, arity_out)}
+    # the inclusion side in integers: i' = D_i i, h' = D_h h, p' = D_p p
+    # and q'_m = D_q^(m-1) D_h^(m-2) q_m have integer entries over QQ
+    (D_i, i_z), (D_h, h_z), (D_p, p_z) = (_integer_columns(field, c) for c in (i_c, h_c, p_c))
+    D_q, q_z = _integer_constants(field, q)
+    q_z = {m: {w: {o: c * (D_q * D_h) ** (m - 2) for o, c in col.items()} for w, col in by_word.items()}
+           for m, by_word in q_z.items()}
+    q_z_evals = {m: by_word.get for m, by_word in q_z.items()}
+    live = {1: {(x,): v for x, v in i_z.items() if v}}  # {n: {w: I'(w) != 0}}
+    blocks = {1: live[1].get}
 
     sops = {}
     if not ctx.small.d.is_zero():
         sops[1] = _columns_op(_columns(ctx.small.d), Ws, Ws, 1)
     inc = {1: _columns_op(i_c, Ws, Vs, 0)}
-    for k in range(2, arity_out + 1):
-        op = MultiLinearOp(Ws, Ws, k, 1, "sym")
-        f = MultiLinearOp(Ws, Vs, k, 0, "sym")
-        for w in W.enumerate_words(Ws, k, k):
-            if W.word_degree(w, degW) + 1 in Ws.dims:
-                for o, c in _apply(field, p_c, theta(w)).items():
-                    op.add_entry(w, o, c)
-            for o, c in inclusion(w).items():
-                f.add_entry(w, o, c)
-        sops[k], inc[k] = op, f
+    for n in range(2, arity_out + 1):
+        # I'(w) = D_i^n (D_h D_q)^(n-1) I(w) and p' theta'(w) =
+        # D_p D_i^n D_q^(n-1) D_h^(n-2) l_n(w): one division per entry
+        den_i = D_i ** n * (D_h * D_q) ** (n - 1)
+        den_l = D_p * D_i ** n * D_q ** (n - 1) * D_h ** (n - 2)
+        op = MultiLinearOp(Ws, Ws, n, 1, "sym")
+        f = MultiLinearOp(Ws, Vs, n, 0, "sym")
+        live[n] = {}
+        for w in _block_products(live, q_z, n, degW):
+            deg = W.word_degree(w, degW)
+            # I has degree 0: a word of a degree V[1] lacks maps to zero
+            want_l, want_i = deg + 1 in Ws.dims, deg in Vs.dims
+            if not (want_l or want_i):
+                continue
+            theta = W.composite_column(field, q_z_evals, blocks, w, degW, degV)
+            if want_l:
+                for o, c in _apply(field, p_z, theta).items():
+                    op.add_entry(w, o, field.div(c, den_l))
+            if want_i:
+                v = _neg(_apply(field, h_z, theta))
+                if v:
+                    live[n][w] = v
+                for o, c in v.items():
+                    f.add_entry(w, o, field.div(c, den_i))
+        blocks[n] = live[n].get
+        sops[n], inc[n] = op, f
 
     f_mus, projs = {}, {}  # memos over words on V[1]
 
@@ -416,6 +437,40 @@ def tree_transfer(alg, ctx, arity_out=3):
     return TransferResult(
         small, LInftyMorphism(small, alg, inc), LInftyMorphism(alg, small, prj), ctx
     )
+
+
+def _integer_columns(field, cols):
+    """(D, D * cols) for a map given by columns: integer entries over QQ
+    (`linfty._integer_constants`)."""
+    D, scaled = _integer_constants(field, {1: cols})
+    return D, scaled[1]
+
+
+def _block_products(live, arities, n, deg_of):
+    """The canonical words of length n that are products of m blocks of
+    `live` ({length: {word: ...}}, lengths below n), m an arity of the
+    family `arities`: the only words of length n on which the tree
+    recursion can be nonzero.  Sorted, as `words.enumerate_words` lists
+    them."""
+    blocks = sorted((b for k in range(1, n) for b in live[k]), key=lambda b: (len(b), b))
+    out = set()
+
+    def rec(start, m, left, letters):
+        if m == 0:
+            if left == 0:
+                w = tuple(sorted(letters))
+                if not repeat_kills(w, deg_of):
+                    out.add(w)
+            return
+        for j in range(start, len(blocks)):
+            b = blocks[j]
+            if len(b) * m > left:  # the blocks from j on are no shorter
+                break
+            rec(j, m - 1, left - len(b), letters + b)
+
+    for m in arities:
+        rec(0, m, n, ())
+    return sorted(out)
 
 
 def _columns(gmap):

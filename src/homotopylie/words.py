@@ -255,19 +255,14 @@ def _perm_sign(word, perm, deg_of):
 
 def _expand_product(field, vectors, deg_of):
     """Symmetric product of sparse vectors -> sparse word vector."""
+    terms = [((), field.one)]
+    for v in vectors:
+        terms = [(idxs + (idx,), c * x) for idxs, c in terms for idx, x in v.items()]
     out = {}
-
-    def rec(i, idxs, coeff):
-        if i == len(vectors):
-            w, s = canon_word(tuple(idxs), deg_of)
-            if w is None:
-                return
-            out[w] = out.get(w, field.zero) + (coeff if s == 1 else -coeff)
-            return
-        for idx, c in vectors[i].items():
-            rec(i + 1, idxs + [idx], coeff * c)
-
-    rec(0, [], field.one)
+    for idxs, c in terms:
+        w, s = canon_word(idxs, deg_of)
+        if w is not None:
+            out[w] = out.get(w, field.zero) + (c if s == 1 else -c)
     return {k: v for k, v in out.items() if not field.is_zero(v)}
 
 
@@ -399,19 +394,31 @@ def symmetrized_homotopy_preimages(H, IP, u, deg_of):
                         yield w
 
 
-def _set_partitions(items):
-    """All set partitions of a list, each block in list order and the
-    blocks ordered by their first element."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        # first joins an existing block, which then comes first
-        for i in range(len(part)):
-            yield [[first] + part[i]] + part[:i] + part[i + 1 :]
-        # first alone
-        yield [[first]] + part
+def _set_partitions(n, value, max_blocks):
+    """The set partitions of range(n) into at most max_blocks blocks on
+    each of which value(block) is nonzero, as pairs (blocks, values): each
+    block ascending, the blocks ordered by their smallest element.  The
+    partitions are built block by block, the next block always taking the
+    first position left, so a block with a zero value prunes at once every
+    partition that contains it."""
+
+    def rec(rest, blocks, values):
+        if not rest:
+            yield blocks, values
+            return
+        if len(blocks) == max_blocks:
+            return
+        first, others = rest[0], rest[1:]
+        # the last block allowed takes every position left
+        sizes = [len(others)] if len(blocks) + 1 == max_blocks else range(len(others) + 1)
+        for r in sizes:
+            for sel in combinations(others, r):
+                v = value((first,) + sel)
+                if v:
+                    left = tuple(p for p in others if p not in sel)
+                    yield from rec(left, blocks + [(first,) + sel], values + [v])
+
+    return rec(tuple(range(n)), [], [])
 
 
 def composite_column(field, outer, inner, w, deg_of, deg_mid):
@@ -419,29 +426,28 @@ def composite_column(field, outer, inner, w, deg_of, deg_mid):
     {k: canonical word of k letters -> sparse vector, or empty/None}: the
     sum over set partitions P of w, with |P| an arity of outer, of
     +- outer[|P|](inner[|B_1|](B_1), ..., inner[|B_k|](B_k)), with the
-    Koszul sign of sorting w into its blocks.  deg_mid grades the letters
-    of the inner values.  This is the transfer's theta, the first half of
-    a morphism's defect and the composite of two morphisms."""
+    Koszul sign of sorting w into its blocks.  Only partitions whose every
+    block has a nonzero inner value are visited (`_set_partitions`).
+    deg_mid grades the letters of the inner values.  This is the
+    transfer's theta, the first half of a morphism's defect and the
+    composite of two morphisms."""
+
+    def value(block):
+        f = inner.get(len(block))
+        return f(tuple(w[p] for p in block)) if f is not None else None
+
     acc = {}
-    for part in _set_partitions(list(range(len(w)))):
+    for part, vecs in _set_partitions(len(w), value, max(outer, default=0)):
         ev = outer.get(len(part))
         if ev is None:
             continue
-        vecs = []
-        for b in part:
-            f = inner.get(len(b))
-            v = f(tuple(w[p] for p in b)) if f is not None else None
-            if not v:
-                break
-            vecs.append(v)
-        else:
-            sgn = _perm_sign(w, tuple(p for b in part for p in b), deg_of)
-            for u, c in _expand_product(field, vecs, deg_mid).items():
-                val = ev(u)
-                if val:
-                    c = c if sgn == 1 else -c
-                    for o, x in val.items():
-                        acc[o] = acc.get(o, field.zero) + c * x
+        sgn = _perm_sign(w, tuple(p for b in part for p in b), deg_of)
+        for u, c in _expand_product(field, vecs, deg_mid).items():
+            val = ev(u)
+            if val:
+                c = c if sgn == 1 else -c
+                for o, x in val.items():
+                    acc[o] = acc.get(o, field.zero) + c * x
     return {o: c for o, c in acc.items() if not field.is_zero(c)}
 
 

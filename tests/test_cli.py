@@ -257,6 +257,14 @@ def _cocycle_with_zero_transition():
     return {"n_vertices": 2, "fibers": ["1", "4"], "transitions": [[0, 1, "0"]]}
 
 
+def _tower_payload(edit):
+    from homotopylie.generators import lambda_dgla
+
+    payload = serialize.algebra_payload(lambda_dgla())
+    edit(payload)
+    return payload
+
+
 MALFORMED = {
     "output index out of range": ("linfty_algebra", lambda: _tower_with(_set_output(999)),
                                   ["check", "transfer"]),
@@ -296,6 +304,16 @@ MALFORMED = {
     "action that is null": ("bv_data", lambda: _bv_with("action", None), ["bv-verify"]),
     "edge to a missing vertex": ("orientation_cocycle", _cocycle_with_stray_edge, ["orient"]),
     "transition that is 0": ("orientation_cocycle", _cocycle_with_zero_transition, ["orient"]),
+    "dims that is an int": ("linfty_algebra", lambda: _tower_payload(lambda p: p.update(dims=3)),
+                            ["check", "transfer"]),
+    "arity whose entries are null": ("linfty_algebra",
+                                     lambda: _tower_payload(lambda p: p["ops"].update({"2": None})),
+                                     ["check", "transfer"]),
+    "ops that is a list": ("linfty_algebra", lambda: _tower_payload(lambda p: p.update(ops=[[[0, 1], 1, "1"]])),
+                           ["check", "transfer"]),
+    "transition that is not a triple": ("orientation_cocycle",
+                                        lambda: {"n_vertices": 2, "fibers": ["1", "4"], "transitions": [3]},
+                                        ["orient"]),
 }
 
 

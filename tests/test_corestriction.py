@@ -225,15 +225,21 @@ def test_compose_matches_the_lifted_maps(seed):
 
 def test_set_partitions_come_once_each_in_block_order():
     """Bell(n) distinct partitions of n items, each block ascending and
-    the blocks ordered by their smallest element."""
+    the blocks ordered by their smallest element; a block value or a block
+    count that is out keeps exactly the partitions that avoid it."""
     bell = [1]
     for n in range(6):
         bell.append(sum(comb(n, k) * bell[k] for k in range(n + 1)))
     for n in range(7):
-        parts = list(W._set_partitions(list(range(n))))
+        full = list(W._set_partitions(n, lambda b: {b: 1}, n))
+        parts = [part for part, _ in full]
         assert len(parts) == bell[n]
-        assert len({tuple(map(tuple, part)) for part in parts}) == bell[n]
+        assert len({tuple(part) for part in parts}) == bell[n]
+        assert all(values == [{b: 1} for b in part] for part, values in full)
         for part in parts:
             assert sorted(p for b in part for p in b) == list(range(n))
-            assert all(b == sorted(b) for b in part)
+            assert all(list(b) == sorted(b) for b in part)
             assert [b[0] for b in part] == sorted(b[0] for b in part)
+        # no block with both 0 and 1, at most three blocks
+        kept = [part for part, _ in W._set_partitions(n, lambda b: not {0, 1} <= set(b), 3)]
+        assert kept == [part for part in parts if len(part) <= 3 and not any({0, 1} <= set(b) for b in part)]

@@ -10,9 +10,12 @@ from homotopylie.generators import (
     corrupt_one_constant,
     rand_invertible,
     random_complex,
+    two_degree_dgla,
     weighted_nilpotent_dgla,
 )
 from homotopylie.multilinear import koszul_sort
+from homotopylie.polynomial import MultiPoly
+from homotopylie.qs import dcrit
 from homotopylie.words import canon_word
 from homotopylie.scalars import QQ
 
@@ -163,6 +166,18 @@ def test_twisted_differential_is_jacobian():
     # gradient of x1^3 - x1 x2
     assert d.entry(2, 0) == 3 * a**2 - b
     assert d.entry(2, 1) == -a
+
+
+def test_twist_by_zero_is_l1():
+    """twisted_differential({}) is l_1 itself, on a dgla and on a dCrit
+    tower with brackets up to arity 3."""
+    x, y = MultiPoly.variable(2, 0, QQ), MultiPoly.variable(2, 1, QQ)
+    S = x * x + x * y * QQ.coerce(2) - y ** 3 + x * y ** 3
+    for alg in (two_degree_dgla(random.Random(6)), dcrit(S).to_linfty()):
+        assert 1 in alg.sops and alg.max_arity >= 2
+        d = alg.twisted_differential({})
+        q1 = alg.sops[1]
+        assert all(d.apply({i: QQ.one}) == q1.eval_basis((i,)) for i in range(alg.space.total_dim))
 
 
 def test_twist_flatness():

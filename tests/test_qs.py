@@ -149,6 +149,21 @@ def test_compose_through_a_rank_zero_bundle_keeps_its_columns():
     assert composite.bundle[0][0].is_zero()
 
 
+def test_compose_through_a_space_with_no_variables():
+    """Through the point, substitution has no polynomial to plug in; the
+    composite's base and bundle are still polynomials in the source's
+    variables, whether the point's map has a scalar or a polynomial base."""
+    z = var(1, 0)
+    cusp, pt = dcrit(z * z * z), QsSpace(0, 0, [])
+    to_pt = QsMorphism(cusp, pt, [], [], check=False)
+    for base in ([0], [MultiPoly.zero(0, QQ)]):
+        composite = QsMorphism(pt, cusp, base, [[]], check=False).compose(to_pt)
+        polys = composite.base + [p for row in composite.bundle for p in row]
+        assert len(polys) == 2 and all(isinstance(p, MultiPoly) and p.nvars == 1 for p in polys)
+        assert composite.base_jacobian_at([F(2)]) == [[0]]
+        assert composite.compat_defect()[0]
+
+
 # ------------------------------------------------------- towers from sections
 
 def test_tower_mc_function_reproduces_section():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homotopylie import GradedSpace, GradedMap, ChainComplex, LInftyAlgebra, MultiLinearOp
-from homotopylie.scalars import QQ
+from homotopylie.scalars import QQ, QQi, GaussianRational
 from homotopylie import linalg
 from homotopylie import words as W
 from homotopylie.generators import (
@@ -16,6 +16,7 @@ from homotopylie.generators import (
 )
 from homotopylie.polynomial import MultiPoly
 from homotopylie.qs import dcrit
+from exactness import assert_exact
 from homotopylie.transfer import (
     RetractContext,
     Splitting,
@@ -301,6 +302,43 @@ def test_tree_engine_equals_hpl_on_towers_with_odd_letters(seed, gauge):
     assert_same_transfer(tree_transfer(alg, ctx, 4), homotopy_transfer(alg, ctx, 4))
 
 
+def _over_gaussian(alg):
+    """The tower over QQi with q_k scaled by (1 + i)^k: scaling q_k by
+    s t^(k-1) keeps Q^2 = 0 for any s and t, here s = t = 1 + i."""
+    V = GradedSpace(alg.space.dims, field=QQi)
+    Vs = V.shifted(1)
+    ops = {}
+    for k, op in alg.sops.items():
+        scale = QQi.one
+        for _ in range(k):
+            scale = scale * GaussianRational(1, 1)
+        ops[k] = MultiLinearOp(Vs, Vs, k, 1, "sym")
+        for (w, o), c in op.entries.items():
+            ops[k].add_entry(w, o, scale * c)
+    return LInftyAlgebra(V, ops)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10**6), dgla=st.booleans(), gauge=st.booleans())
+def test_tree_engine_equals_hpl_over_gaussian_rationals(seed, dgla, gauge):
+    """Over QQi no constant is scaled to an integer (D = 1): the engine
+    still equals HPL, and its result holds only exact scalars."""
+    rng = random.Random(seed)
+    if dgla:
+        base = two_degree_dgla(rng, n1=3, n2=2)
+    else:
+        # no z3^2 term: z3 spans the cohomology, and l_2 .. l_4 are nonzero
+        terms = {m: rng.choice((-2, -1, 1, 2)) for m in _MONOMIALS if m != (0, 0, 2)}
+        base = dcrit(_potential(3, terms)).to_linfty()
+    alg = _over_gaussian(base)
+    assert alg.field is QQi and alg.validate(3).ok
+    ctx = _gauge_retract(alg) if gauge else _retract(alg)
+    tr = tree_transfer(alg, ctx, 4)
+    assert dgla or 4 in tr.small.sops
+    assert_same_transfer(tr, homotopy_transfer(alg, ctx, 4))
+    assert_exact(tr)
+
+
 def test_projection_takes_s_h_columns_only_for_live_words(monkeypatch):
     """p-infinity builds an S(h) column only for words whose component can
     be nonzero.  On the coupled lambda dgla at arity 3, 38 words have a
@@ -318,6 +356,23 @@ def test_projection_takes_s_h_columns_only_for_live_words(monkeypatch):
     nonzero = {w for k, f in tr.projection.components.items() if k >= 2 for w, _ in f.entries}
     assert len(nonzero) == 38
     assert len(calls) <= 2 * len(nonzero)
+
+
+def test_inclusion_takes_theta_only_on_products_of_live_blocks(monkeypatch):
+    """theta runs only on the words that are products of blocks with a
+    nonzero inclusion component.  On the coupled lambda dgla at arity 5
+    those are 122 words of length 2, where a run over every word of W[1]
+    up to length 5 makes 11,536 theta calls."""
+    column = W.composite_column
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return column(*args)
+
+    monkeypatch.setattr(W, "composite_column", counted)
+    minimal_model(lambda_dgla(coupled=True), 5)
+    assert 0 < len(calls) <= 2 * 122
 
 
 @settings(max_examples=20, deadline=None)
