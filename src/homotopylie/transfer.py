@@ -9,10 +9,10 @@ inclusion, memoized recursion for the projection) and builds no map of
 whole word spaces.  The tree recursion runs only on products of blocks
 with a nonzero inclusion, in integers over QQ.  The projection is
 computed only on its live words, found by running its recursion
-backwards on supports before any exact arithmetic.  `homotopy_transfer` (the perturbation lemma
-`hpl_perturb` on word spaces) and `dgla_tree_transfer` are kept as test
-oracles; the engine's structure constants equal `homotopy_transfer`'s
-exactly.
+backwards on supports before any exact arithmetic.  `homotopy_transfer`
+(the perturbation lemma `hpl_perturb` on word spaces) and
+`dgla_tree_transfer` are kept as test oracles; the engine's structure
+constants equal `homotopy_transfer`'s exactly.
 
 The perturbation series acts on anything map-like (graded maps or sparse
 word maps) over an exact field, where the Neumann series must terminate.
