@@ -283,6 +283,9 @@ def cocycle_payload(oc):
 
 def cocycle_from_payload(payload):
     n = payload["n_vertices"]
+    for key in ("fibers", "transitions"):
+        if not isinstance(payload[key], list):
+            raise ValueError("%s must be a list: %r" % (key, payload[key]))
     fibers = [QQ.from_json(v) for v in payload["fibers"]]
     if len(fibers) != n:
         raise ValueError("%d fibers for %r vertices" % (len(fibers), n))

@@ -314,6 +314,11 @@ MALFORMED = {
     "transition that is not a triple": ("orientation_cocycle",
                                         lambda: {"n_vertices": 2, "fibers": ["1", "4"], "transitions": [3]},
                                         ["orient"]),
+    "transitions that are an int": ("orientation_cocycle",
+                                    lambda: {"n_vertices": 2, "fibers": ["1", "4"], "transitions": 3},
+                                    ["orient"]),
+    "fibers that are an int": ("orientation_cocycle", lambda: {"n_vertices": 2, "fibers": 3, "transitions": []},
+                               ["orient"]),
 }
 
 
