@@ -132,6 +132,8 @@ def op_from_payload(entries, k, source, target, degree, field):
 
 
 def algebra_from_payload(payload, field=None):
+    if not isinstance(payload, dict):
+        raise ValueError("tower %r is not an object" % (payload,))
     field = field if field is not None else get_field(payload["scalar"])
     space = space_from_payload(payload, field)
     sp = space.shifted(1)
@@ -218,7 +220,7 @@ def poly_from_payload(payload, field, nvars=None):
     p = MultiPoly(n, field)
     for e, c in terms:
         if not (isinstance(e, list) and len(e) == n
-                and all(isinstance(m, int) and m >= 0 for m in e)):
+                and all(type(m) is int and m >= 0 for m in e)):  # not a bool
             raise ValueError("exponent %r is not %r nonnegative integers" % (e, n))
         p.terms[tuple(e)] = field.from_json(c)
     return p

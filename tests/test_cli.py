@@ -172,12 +172,17 @@ def test_qs_minimal_model_exits_1_when_an_identity_fails(tmp_path, monkeypatch):
 
 # ------------------------------------------------ malformed documents
 
-def _tower_with(edit):
+def _tower_payload(edit):
     from homotopylie.generators import lambda_dgla
 
     payload = serialize.algebra_payload(lambda_dgla())
-    edit(payload["ops"]["2"][0])  # ([0, 1], 1, "1") -- degree -1 output
+    edit(payload)
     return payload
+
+
+def _tower_with(edit):
+    # the first q2 entry is ([0, 1], 1, "1") -- degree -1 output
+    return _tower_payload(lambda payload: edit(payload["ops"]["2"][0]))
 
 
 def _set_output(index):
@@ -232,6 +237,12 @@ def _potential_with_int_terms():
     return dict(serialize.poly_payload(MultiPoly.variable(2, 0, QQ) ** 3), scalar="rational", terms=3)
 
 
+def _potential_with_boolean_exponent():
+    payload = dict(serialize.poly_payload(MultiPoly.variable(2, 0, QQ) ** 3), scalar="rational")
+    payload["terms"][0][0][0] = True
+    return payload
+
+
 def _bv_with(key, value):
     payload = serialize.bv_payload(canonical_dcrit_bv(MultiPoly.variable(2, 0, QQ) ** 3))
     payload[key] = value
@@ -255,14 +266,6 @@ def _cocycle_with_stray_edge():
 
 def _cocycle_with_zero_transition():
     return {"n_vertices": 2, "fibers": ["1", "4"], "transitions": [[0, 1, "0"]]}
-
-
-def _tower_payload(edit):
-    from homotopylie.generators import lambda_dgla
-
-    payload = serialize.algebra_payload(lambda_dgla())
-    edit(payload)
-    return payload
 
 
 MALFORMED = {
@@ -298,10 +301,12 @@ MALFORMED = {
     "section payload that is a list": ("qs_section", lambda: [_section()],
                                        ["check", "qs-minimal-model"]),
     "polynomial whose terms are an int": ("polynomial", _potential_with_int_terms, ["dcrit", "morse-split"]),
+    "exponent that is a JSON boolean": ("polynomial", _potential_with_boolean_exponent, ["dcrit", "morse-split"]),
     "sigma not r x n": ("bv_data", _bv_with_short_sigma, ["bv-verify"]),
     "sigma that is an int": ("bv_data", lambda: _bv_with("sigma", 3), ["bv-verify"]),
     "sigma with a null row": ("bv_data", _bv_with_null_sigma_row, ["bv-verify"]),
     "action that is null": ("bv_data", lambda: _bv_with("action", None), ["bv-verify"]),
+    "algebra that is a boolean": ("bv_data", lambda: _bv_with("algebra", True), ["bv-verify"]),
     "edge to a missing vertex": ("orientation_cocycle", _cocycle_with_stray_edge, ["orient"]),
     "transition that is 0": ("orientation_cocycle", _cocycle_with_zero_transition, ["orient"]),
     "dims that is an int": ("linfty_algebra", lambda: _tower_payload(lambda p: p.update(dims=3)),
