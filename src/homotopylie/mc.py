@@ -7,8 +7,11 @@ Flows always run in float mode; exact algebras are converted first, once
 per tolerance, and each float algebra keeps one sparse evaluation plan.
 On a tower with no bracket above arity 2 (a dgla) the anchor at a fixed
 gauge parameter is affine in the point, so a classical RK4 step is one
-affine map G -> P G + q, applied to every flow of a batch at once; other
-towers run the four RK4 stages on the plan.
+affine map G -> P G + q.  With a constant gauge parameter every step is
+the same map, and m steps are the one power (P, q)^m, taken by repeated
+squaring for every flow of a batch at once; a time-dependent parameter
+steps by one map per step, and other towers run the four RK4 stages on
+the plan.
 """
 
 from __future__ import annotations
@@ -333,29 +336,75 @@ def _rk4_map(parts, h):
     return eye + (h / 6) * P, (h / 6) * q
 
 
+def _affine_power(P, q, m):
+    """(P, q)^m for a batch of affine maps g -> P g + q, one per row: the
+    pair (P^m, (P^(m-1) + ... + P + 1) q), by repeated squaring of the
+    augmented matrices [[P, q], [0, 1]] (Knuth, TAOCP vol. 2, 4.6.3).
+    Every product is a stacked matmul, so the bits of a row do not depend
+    on the batch it sits in."""
+    import numpy as np
+
+    rows, n = q.shape
+    M = np.zeros((rows, n + 1, n + 1), dtype=complex)
+    M[:, :n, :n], M[:, :n, n], M[:, n, n] = P, q, 1
+    M = np.linalg.matrix_power(M, m)
+    return M[:, :n, :n], M[:, :n, n]
+
+
+def _affine_apply(Pq, G):
+    """G -> P G + q, per row, as per-row sums."""
+    P, q = Pq
+    return (P * G[:, None, :]).sum(-1) + q
+
+
 def _flow_step(tower, eta_at, h, constant):
     """The map (t, G) -> G(t + h) of one classical RK4 step of
     G' = -anchor(eta(t))(G), one flow per row of G and of eta_at(t).  An
-    affine anchor steps by G -> P G + q (`_rk4_map`), with (P, q) built
-    once for a constant eta; any other anchor runs the four stages."""
-    part = tower.affine(eta_at(0.0))
-    if part is None:
+    affine anchor steps by G -> P G + q (`_rk4_map`), built from eta at
+    t, t + h/2 and t + h; any other anchor runs the four stages, with the
+    anchor contracted once when eta is constant.  A constant eta on an
+    affine tower does not step (`_constant_flow`)."""
+    if tower.affine(eta_at(0.0)) is None:
         fixed = tower.anchor(eta_at(0.0)) if constant else None
 
         def rhs(t, G):
             return -(fixed if constant else tower.anchor(eta_at(t)))(G)
 
         return lambda t, G: _rk4_step(rhs, t, G, h)
-    fixed = _rk4_map([part] * 3, h) if constant else None
+    return lambda t, G: _affine_apply(
+        _rk4_map([tower.affine(eta_at(s)) for s in (t, t + h / 2, t + h)], h), G
+    )
 
-    def step(t, G):
-        if constant:
-            P, q = fixed
-        else:
-            P, q = _rk4_map([tower.affine(eta_at(s)) for s in (t, t + h / 2, t + h)], h)
-        return (P * G[:, None, :]).sum(-1) + q
 
-    return step
+def _steps(step, h):
+    """The map (done, upto, G) -> G after the RK4 steps done, ...,
+    upto - 1 of `step`, a map (t, G) -> G(t + h) of `_flow_step`."""
+
+    def advance(done, upto, G):
+        for s in range(done, upto):
+            G = step(s * h, G)
+        return G
+
+    return advance
+
+
+def _constant_flow(tower, E, h):
+    """The map (done, upto, G) -> G after the RK4 steps done, ..., upto - 1
+    of G' = -anchor(e)(G), one flow per row of G and of the constant gauge
+    parameters E.  On an affine tower that is one power of the step map
+    (`_affine_power`), memoized per number of steps; any other tower steps
+    through `_flow_step`."""
+    part = tower.affine(E)
+    if part is None:
+        return _steps(_flow_step(tower, lambda t: E, h, True), h)
+    step_map, powers = _rk4_map([part] * 3, h), {}
+
+    def advance(done, upto, G):
+        if upto - done not in powers:
+            powers[upto - done] = _affine_power(*step_map, upto - done)
+        return _affine_apply(powers[upto - done], G)
+
+    return advance
 
 
 def _n_steps(step):
@@ -369,7 +418,10 @@ def gauge_flow(alg, mu, eta, step=DEFAULT_STEP, n_samples=11):
     fixed-step RK4, as a batch of one flow, keeping about n_samples
     samples.
 
-    eta is a constant degree-0 vector or a callable t -> vector."""
+    eta is a constant degree-0 vector or a callable t -> vector.  For a
+    constant eta on a dgla the stretch between two samples is one power
+    of the RK4 step map (`_constant_flow`); any other flow steps through
+    `_flow_step`."""
     algf = to_float_algebra(alg)
     field = algf.field
     tower = _sparse_tower(algf)
@@ -379,17 +431,20 @@ def gauge_flow(alg, mu, eta, step=DEFAULT_STEP, n_samples=11):
         return const if const is not None else _to_dense(tower.n, float_vector(field, eta(t)))
 
     n_steps, h = _n_steps(step)
-    advance = _flow_step(tower, lambda t: eta_at(t)[None], h, const is not None)
     sample_every = max(1, n_steps // max(1, n_samples - 1))
+    if const is not None:
+        advance = _constant_flow(tower, const[None], h)
+    else:
+        advance = _steps(_flow_step(tower, lambda t: eta_at(t)[None], h, False), h)
     G = _to_dense(tower.n, float_vector(field, mu))[None]
     times, samples, etas = [0.0], [_to_dict(G[0])], [_to_dict(eta_at(0.0))]
-    for s in range(n_steps):
-        t = s * h
-        G = advance(t, G)
-        if (s + 1) % sample_every == 0 or s + 1 == n_steps:
-            times.append(t + h)
-            samples.append(_to_dict(G[0]))
-            etas.append(_to_dict(eta_at(t + h)))
+    done = 0
+    for upto in list(range(sample_every, n_steps, sample_every)) + [n_steps]:
+        G, done = advance(done, upto, G), upto
+        t = (upto - 1) * h + h  # the bits of a time stepped to as s * h + h
+        times.append(t)
+        samples.append(_to_dict(G[0]))
+        etas.append(_to_dict(eta_at(t)))
     return GaugePath(algf, times, samples, etas)
 
 
@@ -469,9 +524,10 @@ def _shoot_edge(alg, v_from, targets, step):
     """Search, for each target vertex, for a constant gauge parameter whose
     time-1 flow from v_from reaches it: Gauss-Newton with finite-difference
     sensitivities.  Each iteration integrates the base flow and the bumped
-    flows of every live target in lockstep, as the rows of one batch; a
-    target leaves the batch once it is reached or given up.  Returns one
-    GaugePath or None per target."""
+    flows of every live target at once, as the rows of one batch, each
+    distinct row once; on a dgla that is one power of the RK4 step map per
+    row.  A target leaves the batch once it is reached or given up.
+    Returns one GaugePath or None per target."""
     import numpy as np
 
     tower = _sparse_tower(alg)
@@ -489,17 +545,17 @@ def _shoot_edge(alg, v_from, targets, step):
         # per live target one base row, then one row per bumped coordinate
         block = np.repeat(np.stack(list(live.values()))[:, None], d + 1, axis=1)
         block[:, np.arange(1, d + 1), np.arange(d)] += SHOOT_FD
-        E = np.zeros((len(live) * (d + 1), tower.n), dtype=complex)
-        E[:, deg0] = block.reshape(-1, d)
-        advance = _flow_step(tower, lambda t: E, h, True)
-        G = np.repeat(start[None], len(E), axis=0)
+        # the targets of the first iteration all start from eta = 0, so
+        # their rows repeat; a row's bits do not depend on its batch
+        rows, back = np.unique(block.reshape(-1, d), axis=0, return_inverse=True)
+        E = np.zeros((len(rows), tower.n), dtype=complex)
+        E[:, deg0] = rows
         # a row whose Gauss-Newton iterate diverged may overflow to inf or
         # nan; its target is dropped by the finiteness or 1e4 checks below
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(n_steps):
-                G = advance(s * h, G)
+            G = _constant_flow(tower, E, h)(0, n_steps, np.repeat(start[None], len(E), axis=0))
         # an entry that is 0 or nan reads as 0, as in a path sample
-        ends = np.where(np.abs(G) > 0, G, 0)[:, deg1].reshape(len(live), d + 1, len(deg1))
+        ends = np.where(np.abs(G) > 0, G, 0)[back][:, deg1].reshape(len(live), d + 1, len(deg1))
         for (p, eta), end in zip(list(live.items()), ends):
             r = end[0] - goals[p]
             if _max_abs(r) <= EDGE_TOL:

@@ -1,3 +1,7 @@
+import contextlib
+import copy
+import functools
+import io
 import json
 import os
 import random
@@ -6,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homotopylie import QQ, serialize
 from homotopylie.cli import main
@@ -376,3 +381,79 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "False"
+
+
+# ------------------------------------------- mutated documents, fuzzed
+
+# the commands that read each kind of document; a retract is read by none
+COMMANDS_OF_KIND = {
+    "linfty_algebra": ["check", "transfer", "solve-mc", "nerve"],
+    "qs_section": ["check", "transfer", "solve-mc", "nerve", "qs-minimal-model"],
+    "polynomial": ["dcrit", "morse-split"],
+    "bv_data": ["bv-verify"],
+    "orientation_cocycle": ["orient"],
+}
+SMALL_VALUES = [None, 0, -1, "", [], {}, True, "x"]
+# few seeds for the float commands, so that an example stays cheap
+FEW_SEEDS = {"solve-mc": ["--n-seeds", "2"], "nerve": ["--n-seeds", "2"]}
+
+
+@pytest.fixture(scope="module")
+def fuzz_documents(tmp_path_factory):
+    """The documents of `gen-examples --seed 5` that some command reads,
+    and one rational orientation cocycle, as parsed JSON by name."""
+    ex = tmp_path_factory.mktemp("fuzz")
+    assert main(["gen-examples", "--out", str(ex), "--seed", "5"]) == 0
+    cocycle = OrientationCocycle(2, [Fraction(4), Fraction(9)], {(0, 1): Fraction(3, 2)})
+    _write(str(ex / "cocycle.json"), "orientation_cocycle", serialize.cocycle_payload(cocycle))
+    docs = {p.name: json.loads(p.read_text()) for p in sorted(ex.iterdir())}
+    return ex, {name: doc for name, doc in docs.items() if doc["kind"] in COMMANDS_OF_KIND}
+
+
+def _paths(node, path=()):
+    """The path of every node below `node`."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _mutant(data, doc):
+    """doc with one node below the root replaced by a small value, deleted
+    or duplicated.  The node is drawn by depth first, then among the nodes
+    of that depth, so that the few shallow nodes, where a reader meets the
+    shape of a document, are drawn as often as the many leaves."""
+    doc = copy.deepcopy(doc)
+    by_depth = {}
+    for path in _paths(doc):
+        by_depth.setdefault(len(path), []).append(path)
+    path = data.draw(st.sampled_from(by_depth[data.draw(st.sampled_from(sorted(by_depth)))]))
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+    key = path[-1]
+    how = data.draw(st.sampled_from(SMALL_VALUES + ["delete", "duplicate"]))
+    if how == "delete":
+        del parent[key]
+    elif how == "duplicate" and isinstance(parent, list):
+        parent.insert(key, parent[key])
+    elif how == "duplicate":
+        parent[key + "_copy"] = parent[key]
+    else:
+        parent[key] = how
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_documents_keep_the_exit_code_contract(fuzz_documents, data):
+    ex, docs = fuzz_documents
+    kind = data.draw(st.sampled_from(sorted(COMMANDS_OF_KIND)))
+    name = data.draw(st.sampled_from(sorted(n for n, doc in docs.items() if doc["kind"] == kind)))
+    path = ex / ("mutant_" + name)
+    path.write_text(json.dumps(_mutant(data, docs[name])))
+    for command in COMMANDS_OF_KIND[kind]:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, str(path), "--out", str(ex / "out")] + FEW_SEEDS.get(command, []))
+        assert code in (0, 1, 2), (command, code)
+        if code == 2:
+            assert err.getvalue().startswith("error: "), (command, err.getvalue())

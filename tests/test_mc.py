@@ -21,6 +21,7 @@ from homotopylie.generators import (
     brst_circle,
     lambda_dgla,
     mat_vec,
+    weighted_nilpotent_dgla,
     read_mat,
     expm2,
 )
@@ -34,7 +35,10 @@ from homotopylie.mc import (
     OmegaModel,
     homotopy_gauge_action,
     _sparse_tower,
+    _affine_apply,
+    _affine_power,
     _flow_step,
+    _rk4_map,
     _rk4_step,
 )
 from homotopylie import mc
@@ -94,13 +98,54 @@ def test_reverse_flow_returns():
     assert vec_dist(back.end, gauge_flow(alg, gamma0, eta, step=1).start) < 1e-8
 
 
+def max_sample_gap(a, b):
+    """The largest sample difference of two paths, relative to the
+    largest sample entry (at least 1)."""
+    scale = max(1.0, max(vec_max_norm(s) for s in a.samples))
+    return max(vec_dist(x, y) for x, y in zip(a.samples, b.samples)) / scale
+
+
 def test_constant_eta_flows_like_the_same_eta_as_a_callable():
+    # the BRST circle has a bracket of arity 3, so both flows step
+    alg = brst_circle().algebra
+    V = alg.space
+    gamma0 = {V.index(1, 0): 1.0 + 0j, V.index(1, 1): 0.2 + 0j}
+    eta = {V.index(0, 0): 0.7 + 0j}
+    const = gauge_flow(alg, gamma0, eta, step=0.01)
+    fun = gauge_flow(alg, gamma0, lambda t: eta, step=0.01)
+    assert const.samples == fun.samples and const.eta_samples == fun.eta_samples
+    # on a dgla the constant eta takes powers of the step map, the
+    # callable one steps: the same method, rounded differently
     alg = lambda_dgla(coupled=True)
     gamma0 = mat_vec(alg, (1,), [[1, 1], [0, -1]])
     eta = mat_vec(alg, (), [[0, 1], [1, 0]])
     const = gauge_flow(alg, gamma0, eta, step=0.01)
     fun = gauge_flow(alg, gamma0, lambda t: eta, step=0.01)
-    assert const.samples == fun.samples and const.eta_samples == fun.eta_samples
+    assert const.times == fun.times and const.eta_samples == fun.eta_samples
+    assert max_sample_gap(const, fun) <= 1e-12
+
+
+def nilpotent_dgla_with_d_eta():
+    """A dgla whose differential is nonzero on degree 0, so that the step
+    map of a constant gauge parameter has a translation part q."""
+    return weighted_nilpotent_dgla(random.Random(4))
+
+
+def test_a_flow_with_a_remainder_samples_at_the_stepwise_times():
+    # 143 steps with a sample every 14: ten powers of 14 steps, then 3
+    alg = lambda_dgla(coupled=True)
+    nil = nilpotent_dgla_with_d_eta()
+    flows = [
+        (alg, mat_vec(alg, (1,), [[1, 1], [0, -1]]), mat_vec(alg, (), [[0, 1], [1, 0]])),
+        (nil, {}, {i: 0.5 + 0.25j * i for i in nil.space.indices_of_degree(0)}),
+    ]
+    for alg, gamma0, eta in flows:
+        const = gauge_flow(alg, gamma0, eta, step=0.007)
+        fun = gauge_flow(alg, gamma0, lambda t: eta, step=0.007)
+        assert len(const.times) == 12 and const.times == fun.times
+        assert const.eta_samples == fun.eta_samples
+        assert vec_max_norm(const.end) > 0.1
+        assert max_sample_gap(const, fun) <= 1e-12
 
 
 def test_anchor_lands_in_kernel_of_twisted_differential():
@@ -247,6 +292,38 @@ def test_affine_steps_match_the_rk4_stages_and_batch_bitwise(name):
             assert np.array_equal(got[r], single[0]), (name, what, r)
 
 
+# the oracle towers all have l_1 = 0 on degree 0, so q = 0 on them
+POWER_TOWERS = {**ORACLE_TOWERS, "nilpotent dgla, d eta != 0": nilpotent_dgla_with_d_eta}
+
+
+@pytest.mark.parametrize("name", sorted(POWER_TOWERS))
+def test_affine_powers_match_repeated_steps_and_batch_bitwise(name):
+    alg = to_float_algebra(POWER_TOWERS[name]())
+    tower = _sparse_tower(alg)
+    deg0 = list(alg.space.indices_of_degree(0))
+    rng = np.random.default_rng(31)
+    E = np.zeros((4, tower.n), dtype=complex)
+    E[:, deg0] = rng.normal(size=(4, len(deg0))) + 1j * rng.normal(size=(4, len(deg0)))
+    part = tower.affine(E)
+    if part is None:
+        return  # a bracket above arity 2: these flows step
+    P, q = _rk4_map([part] * 3, 0.01)
+    one = _affine_power(P, q, 1)
+    assert np.array_equal(one[0], P) and np.array_equal(one[1], q), name
+    G = rng.normal(size=(4, tower.n)) + 1j * rng.normal(size=(4, tower.n))
+    for m in (50, 100):
+        Pm, qm = _affine_power(P, q, m)
+        for r in range(4):
+            single = _affine_power(P[r:r + 1], q[r:r + 1], m)
+            assert np.array_equal(single[0][0], Pm[r]) and np.array_equal(single[1][0], qm[r])
+        want = G
+        for _ in range(m):
+            want = _affine_apply((P, q), want)
+        got = _affine_apply((Pm, qm), G)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale, (name, m)
+
+
 def test_float_conversion_is_memoized_per_tol(monkeypatch):
     alg = lambda_dgla()
     algf = to_float_algebra(alg)
@@ -349,10 +426,10 @@ def test_nerve_no_gauge_directions():
     assert g.vertices
 
 
-def test_nerve_of_flow_endpoints_raises_no_warnings():
-    # commuting pairs (A, B) give MC points A theta1 + B theta2; their
-    # flows along a fixed eta end at gauge-equivalent points
-    alg = lambda_dgla()
+def flow_endpoint_seeds(alg):
+    """The benchmark's nerve inputs: commuting pairs (A, B) give MC points
+    A theta1 + B theta2 of lambda_dgla; their flows along a fixed eta end
+    at gauge-equivalent points."""
     rng = random.Random(0)
 
     def uniform(scale):
@@ -367,10 +444,34 @@ def test_nerve_of_flow_endpoints_raises_no_warnings():
         B = rng.uniform(-1, 1) * A + rng.uniform(-0.5, 0.5) * np.eye(2)
         v = {**embed((1,), A), **embed((2,), B)}
         seeds += [v, gauge_flow(alg, v, embed((), uniform(0.4)), step=0.02).end]
+    return seeds
+
+
+def test_nerve_of_flow_endpoints_raises_no_warnings():
+    alg = lambda_dgla()
+    seeds = flow_endpoint_seeds(alg)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g = build_nerve(alg, seeds)
     assert len(g.vertices) == 6
+
+
+def test_the_shooter_integrates_each_distinct_gauge_row_once(monkeypatch):
+    lam = lambda_dgla()
+    alg = to_float_algebra(lam)
+    vertices = [v.vector for v in build_nerve(alg, flow_endpoint_seeds(lam)).vertices]
+    d = alg.space.dim(0)
+    assert len(vertices) == 6 and d == 4
+    rows = []
+
+    def counted(P, q, m):
+        rows.append(len(q))
+        return _affine_power(P, q, m)
+
+    monkeypatch.setattr(mc, "_affine_power", counted)
+    mc._shoot_edge(alg, vertices[0], vertices[1:], 0.02)
+    # five targets at eta = 0 share one base row and d bumped rows
+    assert rows[0] == d + 1 < 5 * (d + 1)
 
 
 def vec_max_norm(x):
