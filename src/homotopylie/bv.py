@@ -355,7 +355,7 @@ def _scalar_sqrt(field, x):
         warnings.warn("determinant has no exact square root; degrading to float")
     import cmath
 
-    return cmath.sqrt(complex(field.to_float(x))), False
+    return cmath.sqrt(complex(x)), False
 
 
 def restrict_metric(ms, basis):

@@ -2,7 +2,11 @@
 
 Subcommands read and write the JSON envelopes of `serialize`.  Exit
 codes: 0 on success, 1 when a check fails (the output carries a
-witness), 2 on malformed input or usage errors.
+witness), 2 on malformed input or usage errors.  `qs-minimal-model` also
+exits 2, with "no exact polynomial adaptation at degree bound d" and no
+output file, on a well-formed section that has no exact polynomial
+adaptation up to its degree d: there is no decomposition to check, so
+the input is one the command cannot take.
 """
 
 from __future__ import annotations

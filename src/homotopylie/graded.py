@@ -66,16 +66,6 @@ class GradedSpace:
         labels = {d - k: list(ls) for d, ls in self.labels.items()}
         return GradedSpace(dims, labels, self.field)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedSpace)
-            and self.dims == other.dims
-            and self.labels == other.labels
-        )
-
-    def __repr__(self):
-        return "GradedSpace(%r)" % (self.dims,)
-
 
 # ---------------------------------------------------------------- vectors
 
@@ -201,9 +191,6 @@ class GradedMap:
         src = src if src is not None else self.source.shifted(k)
         tgt = tgt if tgt is not None else self.target.shifted(k)
         return GradedMap(src, tgt, self.degree, {d - k: B for d, B in self.blocks.items()})
-
-    def __repr__(self):
-        return "GradedMap(degree=%d, %r -> %r)" % (self.degree, self.source.dims, self.target.dims)
 
 
 class ChainComplex:

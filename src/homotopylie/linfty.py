@@ -41,11 +41,6 @@ class ValidationReport:
     def __bool__(self):
         return self.ok
 
-    def __repr__(self):
-        if self.ok:
-            return "ValidationReport(ok, words <= %s)" % self.max_length
-        return "ValidationReport(FAIL at %r -> %r, coeff %r)" % self.witness
-
 
 class LInftyAlgebra:
     def __init__(self, space, sops):
@@ -312,9 +307,6 @@ class Twist:
         a curved twist."""
         return LInftyAlgebra(self.base.space, self.ops)
 
-    def __repr__(self):
-        return "Twist(flat=%s)" % self.is_flat
-
 
 class LInftyMorphism:
     """Morphism given by symmetric degree-0 components f_k: S^k(L[1]) -> M[1]."""
@@ -410,6 +402,3 @@ class LInftyMorphism:
             if not (len(val) == 1 and i in val and self.field.eq(val[i], self.field.one)):
                 return False
         return True
-
-    def __repr__(self):
-        return "LInftyMorphism(max arity %d)" % self.max_arity

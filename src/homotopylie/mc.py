@@ -5,13 +5,12 @@ dgla model with a retract.
 
 Flows always run in float mode; exact algebras are converted first, once
 per tolerance, and each float algebra keeps one sparse evaluation plan.
-On a tower with no bracket above arity 2 (a dgla) the anchor at a fixed
-gauge parameter is affine in the point, so a classical RK4 step is one
-affine map G -> P G + q.  With a constant gauge parameter every step is
-the same map, and m steps are the one power (P, q)^m, taken by repeated
-squaring for every flow of a batch at once; a time-dependent parameter
-steps by one map per step, and other towers run the four RK4 stages on
-the plan.
+Gauge parameters are constant.  On a tower with no bracket above arity 2
+(a dgla) the anchor at a fixed gauge parameter is affine in the point, so
+every classical RK4 step is the same affine map G -> P G + q, and m steps
+are the one power (P, q)^m, taken by repeated squaring for every flow of
+a batch at once; other towers run the four RK4 stages per step on the
+plan.
 """
 
 from __future__ import annotations
@@ -220,9 +219,6 @@ class MCElement:
         self.converged = converged
         self.iterations = iterations
 
-    def __repr__(self):
-        return "MCElement(residual=%.2e, converged=%r)" % (self.residual, self.converged)
-
 
 def solve_mc(alg, seed, tol=1e-10):
     """Gauss-Newton iteration on the Maurer-Cartan function, float mode."""
@@ -291,45 +287,34 @@ class GaugePath:
             worst = max(worst, vec_dist(rate, {i: -c for i, c in want.items()}))
         return worst
 
-    def reversed(self):
-        return GaugePath(
-            self.algebra,
-            [self.times[-1] - t for t in reversed(self.times)],
-            list(reversed(self.samples)),
-            [{i: -c for i, c in e.items()} for e in reversed(self.eta_samples)],
-            self.ok,
-        )
-
 
 def _anchor_apply(alg, gamma, eta):
     """anchor(gamma)(eta) = sum_k 1/(k-1)! l_k(eta, gamma, ..., gamma)."""
     return taylor_sum(alg.field, alg.sops, gamma, head=(eta,))
 
 
-def _rk4_step(rhs, t, g, h):
-    """One classical Runge-Kutta step of g' = rhs(t, g)."""
-    k1 = rhs(t, g)
-    k2 = rhs(t + h / 2, g + k1 * (h / 2))
-    k3 = rhs(t + h / 2, g + k2 * (h / 2))
-    k4 = rhs(t + h, g + k3 * h)
+def _rk4_step(rate, g, h):
+    """One classical Runge-Kutta step of the autonomous g' = rate(g)."""
+    k1 = rate(g)
+    k2 = rate(g + k1 * (h / 2))
+    k3 = rate(g + k2 * (h / 2))
+    k4 = rate(g + k3 * h)
     return g + (k1 + 2 * k2 + 2 * k3 + k4) * (h / 6)
 
 
-def _rk4_map(parts, h):
-    """(P, q) such that one classical RK4 step of g' = -(b(t) + A(t) g)
-    is g -> P g + q, from the affine parts (b, A) of the anchor at t,
-    t + h/2 and t + h.  With constant parts, P is the RK4 stability
+def _rk4_map(b, A, h):
+    """(P, q) such that one classical RK4 step of g' = -(b + A g) is
+    g -> P g + q, one map per row of b and A.  P is the RK4 stability
     polynomial 1 + z + z^2/2 + z^3/6 + z^4/24 at z = -hA (Hairer-Norsett-
     Wanner, Solving ODEs I, II.1).  Matrix products are stacked matmuls
     and matrix-vector products per-row sums, so the bits of a row do not
     depend on the batch it sits in."""
     import numpy as np
 
-    (b1, A1), (b2, A2), (b4, A4) = parts
-    eye = np.eye(A1.shape[-1])
-    K, k = -A1, -b1  # stage 1 as the affine map g -> K g + k
+    eye = np.eye(A.shape[-1])
+    K, k = -A, -b  # stage 1 as the affine map g -> K g + k
     P, q = K, k
-    for (b, A), c, w in (((b2, A2), h / 2, 2), ((b2, A2), h / 2, 2), ((b4, A4), h, 1)):
+    for c, w in ((h / 2, 2), (h / 2, 2), (h, 1)):
         # the next stage's rate at g + c * (K g + k)
         K, k = -(A @ (eye + c * K)), -((A * (c * k)[:, None, :]).sum(-1) + b)
         P, q = P + w * K, q + w * k
@@ -357,47 +342,27 @@ def _affine_apply(Pq, G):
     return (P * G[:, None, :]).sum(-1) + q
 
 
-def _flow_step(tower, eta_at, h, constant):
-    """The map (t, G) -> G(t + h) of one classical RK4 step of
-    G' = -anchor(eta(t))(G), one flow per row of G and of eta_at(t).  An
-    affine anchor steps by G -> P G + q (`_rk4_map`), built from eta at
-    t, t + h/2 and t + h; any other anchor runs the four stages, with the
-    anchor contracted once when eta is constant.  A constant eta on an
-    affine tower does not step (`_constant_flow`)."""
-    if tower.affine(eta_at(0.0)) is None:
-        fixed = tower.anchor(eta_at(0.0)) if constant else None
-
-        def rhs(t, G):
-            return -(fixed if constant else tower.anchor(eta_at(t)))(G)
-
-        return lambda t, G: _rk4_step(rhs, t, G, h)
-    return lambda t, G: _affine_apply(
-        _rk4_map([tower.affine(eta_at(s)) for s in (t, t + h / 2, t + h)], h), G
-    )
-
-
-def _steps(step, h):
-    """The map (done, upto, G) -> G after the RK4 steps done, ...,
-    upto - 1 of `step`, a map (t, G) -> G(t + h) of `_flow_step`."""
-
-    def advance(done, upto, G):
-        for s in range(done, upto):
-            G = step(s * h, G)
-        return G
-
-    return advance
-
-
 def _constant_flow(tower, E, h):
     """The map (done, upto, G) -> G after the RK4 steps done, ..., upto - 1
     of G' = -anchor(e)(G), one flow per row of G and of the constant gauge
-    parameters E.  On an affine tower that is one power of the step map
-    (`_affine_power`), memoized per number of steps; any other tower steps
-    through `_flow_step`."""
+    parameters E.  On a dgla, where the anchor is affine in G, that is one
+    power of the step map (`_affine_power`), memoized per number of steps;
+    on any other tower, the four RK4 stages per step on the anchor,
+    contracted once."""
     part = tower.affine(E)
     if part is None:
-        return _steps(_flow_step(tower, lambda t: E, h, True), h)
-    step_map, powers = _rk4_map([part] * 3, h), {}
+        anchor = tower.anchor(E)
+
+        def rate(G):
+            return -anchor(G)
+
+        def advance(done, upto, G):
+            for _ in range(done, upto):
+                G = _rk4_step(rate, G, h)
+            return G
+
+        return advance
+    step_map, powers = _rk4_map(*part, h), {}
 
     def advance(done, upto, G):
         if upto - done not in powers:
@@ -414,38 +379,26 @@ def _n_steps(step):
 
 
 def gauge_flow(alg, mu, eta, step=DEFAULT_STEP, n_samples=11):
-    """Integrate gamma' = -anchor(gamma)(eta) from mu to time 1 by
-    fixed-step RK4, as a batch of one flow, keeping about n_samples
-    samples.
-
-    eta is a constant degree-0 vector or a callable t -> vector.  For a
-    constant eta on a dgla the stretch between two samples is one power
-    of the RK4 step map (`_constant_flow`); any other flow steps through
-    `_flow_step`."""
+    """Integrate gamma' = -anchor(gamma)(eta), for a constant degree-0
+    vector eta, from mu to time 1 by fixed-step RK4, as a batch of one
+    flow, keeping about n_samples samples.  The stretch between two
+    samples is one call of `_constant_flow`: on a dgla, one power of the
+    RK4 step map."""
     algf = to_float_algebra(alg)
     field = algf.field
     tower = _sparse_tower(algf)
-    const = None if callable(eta) else _to_dense(tower.n, float_vector(field, eta))
-
-    def eta_at(t):
-        return const if const is not None else _to_dense(tower.n, float_vector(field, eta(t)))
-
+    E = _to_dense(tower.n, float_vector(field, eta))
     n_steps, h = _n_steps(step)
     sample_every = max(1, n_steps // max(1, n_samples - 1))
-    if const is not None:
-        advance = _constant_flow(tower, const[None], h)
-    else:
-        advance = _steps(_flow_step(tower, lambda t: eta_at(t)[None], h, False), h)
+    advance = _constant_flow(tower, E[None], h)
     G = _to_dense(tower.n, float_vector(field, mu))[None]
-    times, samples, etas = [0.0], [_to_dict(G[0])], [_to_dict(eta_at(0.0))]
+    times, samples = [0.0], [_to_dict(G[0])]
     done = 0
     for upto in list(range(sample_every, n_steps, sample_every)) + [n_steps]:
         G, done = advance(done, upto, G), upto
-        t = (upto - 1) * h + h  # the bits of a time stepped to as s * h + h
-        times.append(t)
+        times.append((upto - 1) * h + h)  # the bits of a time stepped to as s * h + h
         samples.append(_to_dict(G[0]))
-        etas.append(_to_dict(eta_at(t)))
-    return GaugePath(algf, times, samples, etas)
+    return GaugePath(algf, times, samples, [_to_dict(E) for _ in times])
 
 
 def pushforward_path(F, path):

@@ -149,14 +149,6 @@ class MultiLinearOp:
             mass[o] = mass.get(o, field.mag(field.zero)) + field.mag(c)
         return max(mass.values()) if mass else field.mag(field.zero)
 
-    def __repr__(self):
-        return "MultiLinearOp(arity=%d, degree=%d, %s, %d entries)" % (
-            self.arity,
-            self.degree,
-            self.symmetry,
-            len(self.entries),
-        )
-
 
 def _shift_sign(ins, deg_of, k):
     """Sign (-1)^{sum_i (k-i) |x_i|} relating an arity-k operation to its

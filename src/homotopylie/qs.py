@@ -68,9 +68,6 @@ class QsSpace:
         V = GradedSpace({1: self.nvars, 2: self.rank}, field=self.field)
         return LInftyAlgebra(V, taylor_ops(self.section, V))
 
-    def __repr__(self):
-        return "QsSpace(n=%d, r=%d)" % (self.nvars, self.rank)
-
 
 def taylor_ops(section, space):
     """Taylor encoding of polynomials in the degree-1 coordinates of
@@ -157,9 +154,6 @@ class QsMorphism:
                 if not (p - q).is_zero():
                     return False
         return True
-
-    def __repr__(self):
-        return "QsMorphism(%r -> %r)" % (self.source, self.target)
 
 
 def identity_morphism(qs):

@@ -46,9 +46,6 @@ class GaussianRational:
             return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         other = _gq(other)
         if other is NotImplemented:
@@ -81,20 +78,11 @@ class GaussianRational:
             return NotImplemented
         return self.re == other.re and self.im == other.im
 
-    def __hash__(self):
-        return hash((self.re, self.im))
-
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
-
-    def __repr__(self):
-        return "GaussianRational(%s, %s)" % (self.re, self.im)
 
 
 def _gq(x):
@@ -153,9 +141,6 @@ class RationalField:
         """Magnitude used for pivoting and max-norms (exact rational)."""
         return abs(x)
 
-    def to_float(self, x):
-        return float(x)
-
     def sqrt(self, x):
         """Exact square root, or None when x is not a perfect square."""
         if x < 0:
@@ -178,9 +163,6 @@ class RationalField:
             return _norm(Fraction(s))
         except (TypeError, ZeroDivisionError, OverflowError):
             raise ValueError("bad rational coefficient %r" % (s,)) from None
-
-    def __repr__(self):
-        return "RationalField()"
 
 
 class GaussianRationalField:
@@ -211,9 +193,6 @@ class GaussianRationalField:
         # pivot selection and exact norm comparisons
         return x.re * x.re + x.im * x.im
 
-    def to_float(self, x):
-        return complex(x)
-
     def sqrt(self, x):
         if x.im == 0:
             r = RationalField().sqrt(x.re)
@@ -229,9 +208,6 @@ class GaussianRationalField:
         if not isinstance(parts, list) or len(parts) != 2:
             raise ValueError("bad Gaussian rational coefficient %r" % (s,))
         return GaussianRational(QQ.from_json(parts[0]), QQ.from_json(parts[1]))
-
-    def __repr__(self):
-        return "GaussianRationalField()"
 
 
 class FloatComplexField:
@@ -259,14 +235,6 @@ class FloatComplexField:
     def mag(self, x):
         return abs(x)
 
-    def to_float(self, x):
-        return x
-
-    def sqrt(self, x):
-        import cmath
-
-        return cmath.sqrt(x)
-
     def to_json(self, x):
         if x.imag == 0:
             return repr(x.real)
@@ -280,9 +248,6 @@ class FloatComplexField:
             return complex(float(re), float(im))
         except (TypeError, ValueError, ZeroDivisionError):
             raise ValueError("bad float coefficient %r" % (s,)) from None
-
-    def __repr__(self):
-        return "FloatComplexField(tol=%r)" % self.tol
 
 
 QQ = RationalField()

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from exactness import assert_exact_document
 from homotopylie import QQ, serialize
@@ -56,6 +57,7 @@ from homotopylie.generators import (
     read_mat,
     expm2,
     brst_circle,
+    weighted_nilpotent_dgla,
     GL2,
 )
 from homotopylie.cli import main as cli_main
@@ -234,6 +236,36 @@ def test_c07_gauge_flow_accuracy_and_convergence_order():
         errs.append(np.max(np.abs(got - want)))
     factor = errs[0] / errs[1]
     assert 12.0 <= factor <= 20.0
+    _budget(t0, 5.0)
+
+
+def test_c07_a_flow_with_a_translation_part_matches_its_closed_form():
+    # l_1 is nonzero on degree 0 here, so the anchor at eta is g -> b + A g
+    # with b = l_1(eta) != 0, and g' = -(b + A g) has the closed form
+    # exp(M) on (g, 1), M = [[-A, -b], [0, 0]]
+    expm = pytest.importorskip("scipy.linalg").expm
+    t0 = time.perf_counter()
+    alg = weighted_nilpotent_dgla(random.Random(4))
+    assert max(alg.sops) == 2
+    n = alg.space.total_dim
+    eta = {i: 0.5 + 0.25j * i for i in alg.space.indices_of_degree(0)}
+    gamma0 = {i: 0.1 * (k + 1) + 0j for k, i in enumerate(alg.space.indices_of_degree(1))}
+    b = np.zeros(n, dtype=complex)
+    A = np.zeros((n, n), dtype=complex)
+    for i, e in eta.items():
+        for o, c in alg.sops[1].eval_basis((i,)).items():
+            b[o] += e * complex(c)
+        for j in range(n):
+            for o, c in alg.sops[2].eval_basis((i, j)).items():
+                A[o, j] += e * complex(c)
+    assert np.max(np.abs(b)) > 0.1
+    M = np.zeros((n + 1, n + 1), dtype=complex)
+    M[:n, :n], M[:n, n] = -A, -b
+    start = np.append([gamma0.get(i, 0j) for i in range(n)], 1.0)
+    want = (expm(M) @ start)[:n]
+    path = gauge_flow(alg, gamma0, eta, step=1e-3)
+    got = np.array([path.end.get(i, 0j) for i in range(n)])
+    assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, float(np.max(np.abs(want))))
     _budget(t0, 5.0)
 
 

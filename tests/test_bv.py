@@ -96,7 +96,8 @@ def test_triangle_mutation_detected():
     bv = canonical_dcrit_bv(x1 * x1 * x1 - x1 * x2)
     bv.sigma[0][1] = bv.sigma[0][1] + x1
     rep = validate_bv(bv)
-    assert not rep.ok
+    # a failed report is falsy, so `assert rep` cannot pass it
+    assert not rep.ok and not rep
     assert rep.witness[0] == "triangle"
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homotopylie import QQ, serialize
+from production_smoke import COMMANDS_OF_KIND
 from homotopylie.cli import main
 from homotopylie.generators import nilpotent_tower_with_corruption
 from homotopylie.bv import OrientationCocycle, canonical_dcrit_bv
@@ -149,6 +150,20 @@ def test_orient_negative_fibers_give_imaginary_section(tmp_path):
     assert rep["section"] == [["0", "2"], ["0", "3"]]  # (2i, 3i)
 
 
+def test_float_commands_read_a_rational_complex_tower_as_its_rational_twin(tmp_path):
+    # the float conversion takes complex() of every Gaussian rational
+    # (GaussianRational.__complex__): the same bits as of the rational
+    ex = tmp_path / "ex"
+    assert main(["gen-examples", "--out", str(ex), "--seed", "5"]) == 0
+    doc = json.loads((ex / "tower_0.json").read_text())
+    doc["payload"]["scalar"] = "rational-complex"
+    twin = _write(str(tmp_path / "qqi.json"), "linfty_algebra", doc["payload"])
+    for command, name in (("solve-mc", "mc_solutions.json"), ("nerve", "nerve.json")):
+        for tag, path in (("qq", str(ex / "tower_0.json")), ("qqi", twin)):
+            assert main([command, path, "--n-seeds", "4", "--out", str(tmp_path / tag)]) == 0
+        assert _read(str(tmp_path / "qq" / name)) == _read(str(tmp_path / "qqi" / name))
+
+
 def test_bv_verify_rejection_carries_a_json_witness(tmp_path):
     x1, x2 = (MultiPoly.variable(2, i, QQ) for i in range(2))
     data = canonical_dcrit_bv(x1 ** 3 - x1 * x2)
@@ -173,6 +188,20 @@ def test_qs_minimal_model_exits_1_when_an_identity_fails(tmp_path, monkeypatch):
     assert main(["qs-minimal-model", section, "--out", str(tmp_path / "bad")]) == 1
     rep = json.loads(_read(str(tmp_path / "bad" / "qs_minimal.json")))["payload"]
     assert rep["identities_hold"]["P I = id"] is False
+
+
+def test_qs_minimal_model_exits_2_on_a_section_it_cannot_adapt(tmp_path, capsys):
+    # theta (x + x^2) is linear for no nonzero polynomial theta, so the
+    # rank-1 linear part has no exact polynomial adaptation
+    x = MultiPoly.variable(1, 0, QQ)
+    payload = {"scalar": "rational", "nvars": 1, "rank": 1,
+               "section": [serialize.poly_payload(x + x * x)]}
+    path = _write(str(tmp_path / "s.json"), "qs_section", payload)
+    out = tmp_path / "out"
+    assert main(["qs-minimal-model", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no exact polynomial adaptation at degree bound 2"), err
+    assert not (out / "qs_minimal.json").exists()
 
 
 # ------------------------------------------------ malformed documents
@@ -385,14 +414,6 @@ def test_importing_the_cli_leaves_numpy_unloaded():
 
 # ------------------------------------------- mutated documents, fuzzed
 
-# the commands that read each kind of document; a retract is read by none
-COMMANDS_OF_KIND = {
-    "linfty_algebra": ["check", "transfer", "solve-mc", "nerve"],
-    "qs_section": ["check", "transfer", "solve-mc", "nerve", "qs-minimal-model"],
-    "polynomial": ["dcrit", "morse-split"],
-    "bv_data": ["bv-verify"],
-    "orientation_cocycle": ["orient"],
-}
 SMALL_VALUES = [None, 0, -1, "", [], {}, True, "x"]
 # few seeds for the float commands, so that an example stays cheap
 FEW_SEEDS = {"solve-mc": ["--n-seeds", "2"], "nerve": ["--n-seeds", "2"]}

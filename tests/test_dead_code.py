@@ -5,18 +5,34 @@ parameter its body never reads, and no parameter with a default is left
 at that default by every caller (`unset_defaults`) or passed one and the
 same literal by every caller (`constant_arguments`): no dead flags.
 
-A name counts as used when it occurs, outside its own definition, as a
-name, an attribute, an imported name or a string constant (the benchmark
-tracer and `__all__` name functions by string) in a Python file under
-src/, tests/, bench/ or demos/.  Dunder methods are called by the
-language and are skipped.
+Two guards find definitions that nothing uses.  The static one,
+`unreferenced_definitions`, matches bare names: a name counts as used when
+it occurs, outside its own definition, as a name, an attribute, an
+imported name or a string constant (the benchmark tracer and `__all__`
+name functions by string) in a Python file under src/, tests/, bench/ or
+demos/.  It cannot see a method whose name another definition or a
+builtin shares (`GaugePath.reversed` beside the builtin `reversed`, a
+`to_json` beside the fields' `to_json`), nor dunder methods, which the
+language calls and which it skips.  The dynamic one,
+`test_every_function_is_reached_by_the_production_smoke_or_listed`, runs
+the production smoke of `production_smoke.py` under `sys.setprofile` in a
+fresh process: every function of the package, methods and dunders
+included, must be called by the smoke or be listed, with the reason it
+stays, in `library_api.py`.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import subprocess
+import sys
+import types
 from collections import Counter
 from pathlib import Path
+
+from library_api import LIBRARY_API
+from production_smoke import definition_key
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "homotopylie"
@@ -247,3 +263,40 @@ def test_no_parameter_is_left_at_its_default_by_every_caller():
 
 def test_no_parameter_is_passed_one_literal_by_every_caller():
     assert constant_arguments() == []
+
+
+def package_functions():
+    """{"module.qualname": {first lines}} of every function code object in
+    the package, comprehensions apart."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        stack = [compile(path.read_text(), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            key = definition_key(code)
+            if key:
+                out.setdefault(key[0], set()).add(key[1])
+            stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    return out
+
+
+def smoke_unreached(workdir):
+    """The functions of the package that the production smoke leaves
+    unreached: a name counts as reached only when every function of that
+    qualname ran."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "production_smoke.py"), str(workdir)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    reached = {}
+    for name, line in json.loads(proc.stdout):
+        reached.setdefault(name, set()).add(line)
+    return {name for name, lines in package_functions().items() if not lines <= reached.get(name, set())}
+
+
+def test_every_function_is_reached_by_the_production_smoke_or_listed(tmp_path):
+    unreached = smoke_unreached(tmp_path)
+    listed = {name for names in LIBRARY_API.values() for name in names}
+    assert sorted(unreached - listed) == [], "neither reached by the smoke nor listed"
+    assert sorted(listed - unreached) == [], "listed, but reached by the smoke or not defined"

@@ -106,7 +106,7 @@ def gl2():
 
 def test_gl2_validates():
     rep = gl2().validate(3)
-    assert rep.ok
+    assert rep.ok and rep
 
 
 def test_gl2_perturbed_fails_at_length_3():
@@ -117,7 +117,8 @@ def test_gl2_perturbed_fails_at_length_3():
     op2.entries = dict(op.entries)
     op2.add_entry((0, 1), 0, F(1))  # corrupt one structure constant
     rep = LInftyAlgebra(alg.space, {2: op2}).validate(3)
-    assert not rep.ok
+    # a failed report is falsy, so `assert rep` cannot pass it
+    assert not rep.ok and not rep
     win, wout, coeff = rep.witness
     assert len(win) == 3
     assert coeff != 0

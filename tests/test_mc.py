@@ -37,7 +37,7 @@ from homotopylie.mc import (
     _sparse_tower,
     _affine_apply,
     _affine_power,
-    _flow_step,
+    _constant_flow,
     _rk4_map,
     _rk4_step,
 )
@@ -99,30 +99,52 @@ def test_reverse_flow_returns():
 
 
 def max_sample_gap(a, b):
-    """The largest sample difference of two paths, relative to the
-    largest sample entry (at least 1)."""
-    scale = max(1.0, max(vec_max_norm(s) for s in a.samples))
-    return max(vec_dist(x, y) for x, y in zip(a.samples, b.samples)) / scale
+    """The largest difference of two lists of samples, relative to the
+    largest sample entry of the first (at least 1)."""
+    scale = max(1.0, max(vec_max_norm(s) for s in a))
+    return max(vec_dist(x, y) for x, y in zip(a, b)) / scale
 
 
-def test_constant_eta_flows_like_the_same_eta_as_a_callable():
-    # the BRST circle has a bracket of arity 3, so both flows step
+def stepwise_flow(alg, mu, eta, step):
+    """Oracle for `gauge_flow` with its default 11 samples: (times,
+    samples, eta samples) of one classical RK4 step at a time on the
+    anchor at eta, sampled at the marks of `gauge_flow`, every
+    n_steps // 10 steps and at the last."""
+    alg = to_float_algebra(alg)
+    tower = _sparse_tower(alg)
+    E = mc._to_dense(tower.n, mc.float_vector(alg.field, eta))[None]
+    anchor = tower.anchor(E)
+    n_steps = max(1, int(round(1.0 / step)))
+    h = 1.0 / n_steps
+    every = max(1, n_steps // 10)
+    G = mc._to_dense(tower.n, mc.float_vector(alg.field, mu))[None]
+    times, samples = [0.0], [mc._to_dict(G[0])]
+    for s in range(n_steps):
+        G = _rk4_step(lambda g: -anchor(g), G, h)
+        if (s + 1) % every == 0 or s + 1 == n_steps:
+            times.append(s * h + h)
+            samples.append(mc._to_dict(G[0]))
+    return times, samples, [mc._to_dict(E[0]) for _ in times]
+
+
+def test_constant_eta_flows_like_the_stepwise_oracle():
+    # the BRST circle has a bracket of arity 3, so its flow steps
     alg = brst_circle().algebra
     V = alg.space
     gamma0 = {V.index(1, 0): 1.0 + 0j, V.index(1, 1): 0.2 + 0j}
     eta = {V.index(0, 0): 0.7 + 0j}
-    const = gauge_flow(alg, gamma0, eta, step=0.01)
-    fun = gauge_flow(alg, gamma0, lambda t: eta, step=0.01)
-    assert const.samples == fun.samples and const.eta_samples == fun.eta_samples
-    # on a dgla the constant eta takes powers of the step map, the
-    # callable one steps: the same method, rounded differently
+    path = gauge_flow(alg, gamma0, eta, step=0.01)
+    times, samples, etas = stepwise_flow(alg, gamma0, eta, 0.01)
+    assert path.times == times and path.samples == samples and path.eta_samples == etas
+    # on a dgla the flow takes powers of the step map, the oracle steps:
+    # the same method, rounded differently
     alg = lambda_dgla(coupled=True)
     gamma0 = mat_vec(alg, (1,), [[1, 1], [0, -1]])
     eta = mat_vec(alg, (), [[0, 1], [1, 0]])
-    const = gauge_flow(alg, gamma0, eta, step=0.01)
-    fun = gauge_flow(alg, gamma0, lambda t: eta, step=0.01)
-    assert const.times == fun.times and const.eta_samples == fun.eta_samples
-    assert max_sample_gap(const, fun) <= 1e-12
+    path = gauge_flow(alg, gamma0, eta, step=0.01)
+    times, samples, etas = stepwise_flow(alg, gamma0, eta, 0.01)
+    assert path.times == times and path.eta_samples == etas
+    assert max_sample_gap(path.samples, samples) <= 1e-12
 
 
 def nilpotent_dgla_with_d_eta():
@@ -140,12 +162,12 @@ def test_a_flow_with_a_remainder_samples_at_the_stepwise_times():
         (nil, {}, {i: 0.5 + 0.25j * i for i in nil.space.indices_of_degree(0)}),
     ]
     for alg, gamma0, eta in flows:
-        const = gauge_flow(alg, gamma0, eta, step=0.007)
-        fun = gauge_flow(alg, gamma0, lambda t: eta, step=0.007)
-        assert len(const.times) == 12 and const.times == fun.times
-        assert const.eta_samples == fun.eta_samples
-        assert vec_max_norm(const.end) > 0.1
-        assert max_sample_gap(const, fun) <= 1e-12
+        path = gauge_flow(alg, gamma0, eta, step=0.007)
+        times, samples, etas = stepwise_flow(alg, gamma0, eta, 0.007)
+        assert len(path.times) == 12 and path.times == times
+        assert path.eta_samples == etas
+        assert vec_max_norm(path.end) > 0.1
+        assert max_sample_gap(path.samples, samples) <= 1e-12
 
 
 def test_anchor_lands_in_kernel_of_twisted_differential():
@@ -264,32 +286,27 @@ def test_affine_steps_match_the_rk4_stages_and_batch_bitwise(name):
     n = alg.space.total_dim
     deg0 = list(alg.space.indices_of_degree(0))
     rng = np.random.default_rng(29)
-
-    def gauge_rows():
-        E = np.zeros((5, n), dtype=complex)
-        E[:, deg0] = rng.normal(size=(5, len(deg0))) + 1j * rng.normal(size=(5, len(deg0)))
-        return E
-
-    E0, E1, E2 = gauge_rows(), gauge_rows(), gauge_rows()
+    E = np.zeros((5, n), dtype=complex)
+    E[:, deg0] = rng.normal(size=(5, len(deg0))) + 1j * rng.normal(size=(5, len(deg0)))
     G = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
-    t, h = 0.3, 0.05
+    h = 0.05
     if max(alg.sops) > 2:
-        assert tower.affine(E0) is None
+        assert tower.affine(E) is None
     else:
-        b, A = tower.affine(E0)
+        b, A = tower.affine(E)
         assert b.shape == (5, n) and A.shape == (5, n, n)
         for r in range(5):
-            b1, A1 = tower.affine(E0[r])
+            b1, A1 = tower.affine(E[r])
             assert np.array_equal(b[r], b1[0]) and np.array_equal(A[r], A1[0]), (name, r)
-    etas = {"constant": (lambda t: E0, True), "time-dependent": (lambda t: E0 + t * E1 + t * t * E2, False)}
-    for what, (eta_at, constant) in etas.items():
-        got = _flow_step(tower, eta_at, h, constant)(t, G)
-        want = _rk4_step(lambda s, g: -tower.anchor(eta_at(s))(g), t, G, h)
-        scale = max(1.0, float(np.max(np.abs(want))))
-        assert np.max(np.abs(got - want)) <= 1e-13 * scale, (name, what)
-        for r in range(5):
-            single = _flow_step(tower, lambda s: eta_at(s)[r:r + 1], h, constant)(t, G[r:r + 1])
-            assert np.array_equal(got[r], single[0]), (name, what, r)
+    # one step: on a dgla the step map (a power of 1 is the map itself),
+    # on any other tower the four stages
+    got = _constant_flow(tower, E, h)(0, 1, G)
+    want = _rk4_step(lambda g: -tower.anchor(E)(g), G, h)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale, name
+    for r in range(5):
+        single = _constant_flow(tower, E[r:r + 1], h)(0, 1, G[r:r + 1])
+        assert np.array_equal(got[r], single[0]), (name, r)
 
 
 # the oracle towers all have l_1 = 0 on degree 0, so q = 0 on them
@@ -307,7 +324,7 @@ def test_affine_powers_match_repeated_steps_and_batch_bitwise(name):
     part = tower.affine(E)
     if part is None:
         return  # a bracket above arity 2: these flows step
-    P, q = _rk4_map([part] * 3, 0.01)
+    P, q = _rk4_map(*part, 0.01)
     one = _affine_power(P, q, 1)
     assert np.array_equal(one[0], P) and np.array_equal(one[1], q), name
     G = rng.normal(size=(4, tower.n)) + 1j * rng.normal(size=(4, tower.n))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from homotopylie.scalars import QQ, QQi, GaussianRational
+from homotopylie.scalars import QQ, QQi, FloatComplexField, GaussianRational
 
 
 def test_rationals_are_ints_when_integral():
@@ -42,3 +42,22 @@ def test_json_form_does_not_depend_on_the_type():
     assert back == 2 and type(back) is int
     assert QQ.from_json("-7/2") == Fraction(-7, 2)
     assert QQi.to_json(QQi.coerce(3)) == QQi.to_json(GaussianRational(Fraction(6, 2))) == ["3", "0"]
+
+
+def test_every_field_answers_the_protocol_that_generic_code_calls():
+    # generic code calls eq and mag on whatever field it is given
+    # (MultiLinearOp.eq and norm, LInftyMorphism.is_identity,
+    # MetricStructure, the float pivot of linalg) and sqrt on every exact
+    # field (bv._scalar_sqrt): a field without one fails them on it alone
+    half = Fraction(1, 2)
+    cases = [
+        (QQ, half, -half),
+        (QQi, GaussianRational(half, 1), GaussianRational(half, -1)),
+        (FloatComplexField(), 0.5 + 1j, 0.5 - 1j),
+    ]
+    for field, a, b in cases:
+        assert field.eq(a, a) and not field.eq(a, b)
+        assert field.mag(field.zero) == 0 < field.mag(a)
+    assert FloatComplexField().eq(1 + 0j, 1 + 1e-12j)
+    assert QQi.sqrt(GaussianRational(Fraction(4, 9))) == GaussianRational(Fraction(2, 3))
+    assert QQi.sqrt(GaussianRational(2)) is None and QQi.sqrt(GaussianRational(0, 4)) is None
