@@ -15,7 +15,7 @@ from . import linalg
 from .polynomial import (
     MultiPoly, jacobian, eval_matrix, constant_matrix, linear_forms, poly_matvec, poly_matmul,
 )
-from .scalars import QQ, GaussianRational
+from .scalars import QQ, QQi
 
 
 # ------------------------------------------- polynomial views of a tower
@@ -493,10 +493,10 @@ def _exact_roots(values):
     for v in values:
         if not isinstance(v, (int, Fraction)):
             return None
-        r = QQ.sqrt(Fraction(abs(v)))
+        r = QQi.sqrt(QQi.coerce(v))
         if r is None:
             return None
-        roots.append(r if v >= 0 else GaussianRational(0, r))
+        roots.append(r if r.im else QQ.coerce(r.re))
     return roots
 
 

@@ -1,18 +1,21 @@
 """Command line entry points.
 
-Subcommands read and write the JSON envelopes of `serialize`.  Exit
-codes: 0 on success, 1 when a check fails (the output carries a
-witness), 2 on malformed input or usage errors.  `qs-minimal-model` also
-exits 2, with "no exact polynomial adaptation at degree bound d" and no
-output file, on a well-formed section that has no exact polynomial
-adaptation up to its degree d: there is no decomposition to check, so
-the input is one the command cannot take.
+Subcommands read and write the JSON envelopes of `serialize`, and every
+kind of data document that one writes, one reads: `check` takes the
+L-infinity morphisms of `transfer`.  Exit codes: 0 on success, 1 when a
+check fails (the output carries a witness), 2 on malformed input or
+usage errors, a numeric option out of range among them.
+`qs-minimal-model` also exits 2, with "no exact polynomial adaptation at
+degree bound d" and no output file, on a well-formed section that has no
+exact polynomial adaptation up to its degree d: there is no
+decomposition to check, so the input is one the command cannot take.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import random
 import sys
@@ -72,33 +75,42 @@ def _json_detail(field, x):
     return field.to_json(field.coerce(x))
 
 
-def _load_algebra(path):
-    kind, payload = _read_doc(path)
+def _algebra_of(kind, payload, expected):
+    """The tower of a tower or section document; any other kind is an
+    input error that names the `expected` kinds."""
     if kind == "linfty_algebra":
         return serialize.algebra_from_payload(payload)
     if kind == "qs_section":
         return serialize.section_from_payload(payload).to_linfty()
-    raise ValueError("expected a tower or section document, got kind %r" % kind)
+    raise ValueError("expected %s document, got kind %r" % (expected, kind))
+
+
+def _load_algebra(path):
+    return _algebra_of(*_read_doc(path), "a tower or section")
 
 
 def _load_poly(path):
-    kind, payload = _read_doc(path)
-    if kind == "polynomial":
-        field = get_field(payload.get("scalar", "rational"))
-        return serialize.poly_from_payload(payload, field)
-    raise ValueError("expected a polynomial document, got kind %r" % kind)
+    _, payload = _read_doc(path, "polynomial")
+    return serialize.poly_from_payload(payload, get_field(payload.get("scalar", "rational")))
 
 
 # ------------------------------------------------------------ subcommands
 
 def cmd_check(args):
-    alg = _load_algebra(args.file)
-    rep = alg.validate(args.arity_check)
-    payload = {"ok": rep.ok, "max_word_length": args.arity_check}
-    if not rep.ok:
-        payload["witness"] = _json_word(alg.field, rep.witness)
-    _emit(args, "check.json", serialize.dumps("validation_report", payload))
-    return OK if rep.ok else CHECK_FAILED
+    """Q^2 = 0 for a tower or a section's tower, Q_T F = F Q_S for an
+    L-infinity morphism, on the words up to --arity-check; one read."""
+    kind, payload = _read_doc(args.file)
+    if kind == "linfty_morphism":
+        mor = serialize.morphism_from_payload(payload)
+        field, witness = mor.field, mor.defect(args.arity_check)
+    else:
+        alg = _algebra_of(kind, payload, "a tower, section or L-infinity morphism")
+        field, witness = alg.field, alg.validate(args.arity_check).witness
+    out = {"ok": witness is None, "max_word_length": args.arity_check}
+    if witness is not None:
+        out["witness"] = _json_word(field, witness)
+    _emit(args, "check.json", serialize.dumps("validation_report", out))
+    return OK if witness is None else CHECK_FAILED
 
 
 def cmd_transfer(args):
@@ -235,8 +247,6 @@ def cmd_gen_examples(args):
         docs["tower_%d.json" % t] = serialize.dumps(
             "linfty_algebra", serialize.algebra_payload(alg)
         )
-    ctx, mu = generators.block_perturbed_context(rng)
-    docs["retract_0.json"] = serialize.dumps("retract", serialize.retract_payload(ctx, mu))
     for t in range(2):
         qs = generators.random_adaptable_section(rng)
         docs["section_%d.json" % t] = serialize.dumps(
@@ -259,6 +269,17 @@ def cmd_gen_examples(args):
 
 # ------------------------------------------------------------------ main
 
+def _number(convert, low, strict):
+    """An argparse type: `convert(text)`, finite and >= low, or > low when
+    `strict` (nan fails both); argparse exits 2 on a value out of range."""
+    def parse(text):
+        x = convert(text)
+        if not (low < x < math.inf if strict else low <= x < math.inf):
+            raise argparse.ArgumentTypeError("%s is not a finite number %s %s" % (text, ">" if strict else ">=", low))
+        return x
+    return parse
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process.  Each subcommand names
@@ -272,6 +293,7 @@ def build_parser():
     common.add_argument("--out", metavar="DIR", default=None,
                         help="write outputs into DIR instead of stdout")
     sub = ap.add_subparsers(dest="command", required=True)
+    arity, count, positive = _number(int, 1, False), _number(int, 0, False), _number(float, 0, True)
 
     def add(name, handler, **extra):
         p = sub.add_parser(name, parents=[common])
@@ -281,24 +303,24 @@ def build_parser():
         return p
 
     p = add("check", "cmd_check",
-            arity_check=dict(type=int, default=3, help="max word length"))
+            arity_check=dict(type=arity, default=3, help="max word length"))
     p.add_argument("file")
 
     p = add("transfer", "cmd_transfer",
-            arity_out=dict(type=int, default=3, help="highest transferred arity"))
+            arity_out=dict(type=arity, default=3, help="highest transferred arity"))
     p.add_argument("file")
 
     p = add("solve-mc", "cmd_solve_mc",
-            tol_mc=dict(type=float, default=1e-10),
+            tol_mc=dict(type=positive, default=1e-10),
             seed=dict(type=int, default=0),
-            n_seeds=dict(type=int, default=10))
+            n_seeds=dict(type=count, default=10))
     p.add_argument("file")
 
     p = add("nerve", "cmd_nerve",
-            tol_mc=dict(type=float, default=1e-10),
+            tol_mc=dict(type=positive, default=1e-10),
             seed=dict(type=int, default=0),
-            n_seeds=dict(type=int, default=20),
-            step=dict(type=float, default=0.02),
+            n_seeds=dict(type=count, default=20),
+            step=dict(type=positive, default=0.02),
             format=dict(choices=["json", "text"], default="json"))
     p.add_argument("file")
 

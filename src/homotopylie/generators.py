@@ -1,6 +1,7 @@
-"""Seeded random corpora: chain complexes, retract contexts with
-nilpotent perturbations, rigid nilpotent dglas, unconstrained two-degree
-dglas, and adaptable polynomial sections.
+"""Seeded random corpora: rigid nilpotent dglas, unconstrained two-degree
+dglas and adaptable polynomial sections, which `gen-examples` writes, and
+chain complexes and retract contexts with nilpotent perturbations, a test
+corpus for the HPL oracles.
 """
 
 from __future__ import annotations

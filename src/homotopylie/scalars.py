@@ -194,11 +194,18 @@ class GaussianRationalField:
         return x.re * x.re + x.im * x.im
 
     def sqrt(self, x):
-        if x.im == 0:
-            r = RationalField().sqrt(x.re)
-            if r is not None:
-                return GaussianRational(r, 0)
-        return None
+        """The principal exact square root (real part > 0, or real part 0
+        and imaginary part >= 0), or None when there is none.  For
+        x = a + bi a root exists exactly when m = |x| is rational and
+        (m + a)/2 and (m - a)/2 are rational squares: they are the
+        squares of its real and imaginary parts, whose product is b/2."""
+        m = QQ.sqrt(self.mag(x))
+        if m is None:
+            return None
+        re, im = QQ.sqrt((m + x.re) / 2), QQ.sqrt((m - x.re) / 2)
+        if re is None or im is None:
+            return None
+        return GaussianRational(re, im if x.im >= 0 else -im)
 
     def to_json(self, x):
         return [_frac_str(x.re), _frac_str(x.im)]

@@ -1,5 +1,5 @@
-"""Canonical JSON encoding of towers, retracts, sections, BV data and
-computation results.
+"""Canonical JSON encoding of towers, L-infinity morphisms, sections,
+polynomials, BV data, orientation cocycles and computation results.
 
 Every document is an envelope {"kind": ..., "version": 1, "payload":
 ...}; scalars are printed through the field's exact string form, keys are
@@ -13,10 +13,9 @@ from __future__ import annotations
 import json
 
 from .scalars import QQ, get_field
-from .graded import GradedSpace, GradedMap
+from .graded import GradedSpace
 from .multilinear import MultiLinearOp
 from .linfty import LInftyAlgebra, LInftyMorphism
-from .transfer import RetractContext
 from .polynomial import MultiPoly
 from .qs import QsSpace
 from .bv import BVData, OrientationCocycle
@@ -41,13 +40,9 @@ def loads(text, kind=None):
     return doc["kind"], doc["payload"]
 
 
-# ---------------------------------------------------------------- spaces
+# ---------------------------------------------------------------- towers
 
-def space_payload(space):
-    return {"dims": {str(d): n for d, n in space.dims.items()}}
-
-
-def space_from_payload(payload, field=None):
+def space_from_payload(payload, field):
     if not isinstance(payload["dims"], dict):
         raise ValueError("dims must be an object: %r" % (payload["dims"],))
     dims = {int(d): n for d, n in payload["dims"].items()}
@@ -55,40 +50,6 @@ def space_from_payload(payload, field=None):
         raise ValueError("dimensions must be nonnegative integers: %r" % (payload["dims"],))
     return GradedSpace(dims, field=field)
 
-
-def map_payload(gm):
-    entries = []
-    field = gm.field
-    for d in sorted(gm.blocks):
-        B = gm.blocks[d]
-        for i, row in enumerate(B):
-            for j, c in enumerate(row):
-                if not field.is_zero(c):
-                    entries.append(
-                        [
-                            gm.target.index(d + gm.degree, i),
-                            gm.source.index(d, j),
-                            field.to_json(c),
-                        ]
-                    )
-    return {
-        "degree": gm.degree,
-        "source": space_payload(gm.source),
-        "target": space_payload(gm.target),
-        "entries": entries,
-    }
-
-
-def map_from_payload(payload, field):
-    src = space_from_payload(payload["source"], field)
-    tgt = space_from_payload(payload["target"], field)
-    gm = GradedMap(src, tgt, payload["degree"])
-    for out, inp, c in payload["entries"]:
-        gm.set_entry(out, inp, field.from_json(c))
-    return gm
-
-
-# ---------------------------------------------------------------- towers
 
 def op_payload(op):
     entries = []
@@ -157,43 +118,11 @@ def morphism_from_payload(payload):
     field = get_field(payload["scalar"])
     src = algebra_from_payload(payload["source"], field)
     tgt = algebra_from_payload(payload["target"], field)
+    if not isinstance(payload["components"], dict):
+        raise ValueError("components must be an object: %r" % (payload["components"],))
     comps = {int(k): op_from_payload(entries, k, src.shifted_space, tgt.shifted_space, 0, field)
              for k, entries in payload["components"].items()}
     return LInftyMorphism(src, tgt, comps)
-
-
-def retract_payload(ctx, mu=None):
-    out = {
-        "scalar": ctx.big.field.name,
-        "big_d": map_payload(ctx.big.d),
-        "small_d": map_payload(ctx.small.d),
-        "i": map_payload(ctx.i),
-        "p": map_payload(ctx.p),
-        "h": map_payload(ctx.h),
-    }
-    if mu is not None:
-        out["mu"] = map_payload(mu)
-    return out
-
-
-def retract_from_payload(payload):
-    from .graded import ChainComplex
-
-    field = get_field(payload["scalar"])
-    d_big = map_from_payload(payload["big_d"], field)
-    d_small = map_from_payload(payload["small_d"], field)
-    i = map_from_payload(payload["i"], field)
-    p = map_from_payload(payload["p"], field)
-    h = map_from_payload(payload["h"], field)
-    ctx = RetractContext(
-        ChainComplex(d_small.source, d_small, check=False),
-        ChainComplex(d_big.source, d_big, check=False),
-        i,
-        p,
-        h,
-    )
-    mu = map_from_payload(payload["mu"], field) if "mu" in payload else None
-    return ctx, mu
 
 
 # ------------------------------------------------------------- sections

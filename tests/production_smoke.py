@@ -1,8 +1,9 @@
 """A fixed production smoke, run under a function-level trace.
 
 The smoke is what a user of the package runs: the CLI on the documents of
-`gen-examples --seed 5` with every subcommand that reads each kind, the
-first tower again over the Gaussian rationals, the nerve of the BRST
+`gen-examples --seed 5` with every subcommand that reads each kind,
+`check` on the two morphisms of a `transfer` and on a corrupted
+inclusion, the first tower again over the Gaussian rationals, the nerve of the BRST
 circle, a Morse split that swaps coordinates, one failing `check`, one
 rejected `bv-verify`, orientable cocycles with exact and with float roots,
 two non-orientable ones, and the three demos.  The trace records every
@@ -25,14 +26,16 @@ import io
 import json
 import runpy
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "homotopylie"
 
-# the commands that read each kind of document; a retract is read by none
+# the commands that read each kind of data document that a command writes
 COMMANDS_OF_KIND = {
     "linfty_algebra": ["check", "transfer", "solve-mc", "nerve"],
+    "linfty_morphism": ["check"],
     "qs_section": ["check", "transfer", "solve-mc", "nerve", "qs-minimal-model"],
     "polynomial": ["dcrit", "morse-split"],
     "bv_data": ["bv-verify"],
@@ -85,6 +88,16 @@ def run(work):
             _cli([command, path, "--out", work / command] + FEW_SEEDS.get(command, []), 0)
     _cli(["nerve", ex / "tower_0.json", "--format", "text", "--out", work / "nerve"]
          + FEW_SEEDS["nerve"], 0)
+    # the two morphisms of the last transfer, and its inclusion with one
+    # constant raised by one
+    for name in ("inclusion.json", "projection.json"):
+        _cli(["check", work / "transfer" / name, "--out", work / "morphism"], 0)
+    doc = json.loads((work / "transfer" / "inclusion.json").read_text())
+    entry = doc["payload"]["components"]["1"][0]
+    entry[2] = str(Fraction(entry[2]) + 1)
+    bad = work / "bad_inclusion.json"
+    bad.write_text(json.dumps(doc))
+    _cli(["check", bad, "--out", work / "bad"], 1)
 
     # the same tower over the Gaussian rationals, through the exact and
     # the float commands

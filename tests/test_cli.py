@@ -89,6 +89,86 @@ def test_transfer_outputs_parse(tmp_path):
     serialize.morphism_from_payload(pincl)
 
 
+def test_check_reads_the_morphisms_that_transfer_writes(tmp_path):
+    for seed in range(1, 6):
+        ex = tmp_path / ("ex%d" % seed)
+        assert main(["gen-examples", "--out", str(ex), "--seed", str(seed)]) == 0
+        for t in range(3):
+            tr = tmp_path / ("tr%d_%d" % (seed, t))
+            assert main(["transfer", str(ex / ("tower_%d.json" % t)), "--out", str(tr)]) == 0
+            for name in ("inclusion.json", "projection.json"):
+                out = tmp_path / "chk"
+                assert main(["check", str(tr / name), "--out", str(out)]) == 0, (seed, t, name)
+                rep = json.loads(_read(str(out / "check.json")))
+                assert rep["kind"] == "validation_report"
+                assert rep["payload"] == {"ok": True, "max_word_length": 3}
+
+
+def test_check_rejects_a_corrupted_inclusion_with_a_witness(tmp_path):
+    ex, tr = tmp_path / "ex", tmp_path / "tr"
+    assert main(["gen-examples", "--out", str(ex), "--seed", "5"]) == 0
+    assert main(["transfer", str(ex / "tower_1.json"), "--out", str(tr)]) == 0
+    doc = json.loads((tr / "inclusion.json").read_text())
+    entry = doc["payload"]["components"]["2"][0]
+    entry[2] = str(Fraction(entry[2]) + 1)
+    bad = _write(str(tmp_path / "bad.json"), "linfty_morphism", doc["payload"])
+    assert main(["check", bad, "--out", str(tmp_path / "b")]) == 1
+    rep = json.loads(_read(str(tmp_path / "b" / "check.json")))["payload"]
+    assert rep["ok"] is False
+    # the witness is a nonzero value of pi_1 (Q_T F - F Q_S)
+    mor = serialize.morphism_from_payload(doc["payload"])
+    w, (o,) = tuple(rep["witness"]["input_word"]), rep["witness"]["output_word"]
+    c = mor.corestricted_defect()(w)[o]
+    assert c != 0 and rep["witness"]["coefficient"] == QQ.to_json(c)
+    # a transfer is truncated at its --arity-out: checked above it, the
+    # morphism equation fails at the first length it leaves out
+    inclusion = str(tr / "inclusion.json")
+    assert main(["check", inclusion, "--arity-check", "4", "--out", str(tmp_path / "c4")]) == 1
+    assert main(["transfer", str(ex / "tower_1.json"), "--arity-out", "4", "--out", str(tmp_path / "tr4")]) == 0
+    assert main(["check", str(tmp_path / "tr4" / "inclusion.json"), "--arity-check", "4",
+                 "--out", str(tmp_path / "c4")]) == 0
+
+
+def test_every_document_a_command_writes_is_read_by_a_command(tmp_path):
+    # the commands that write data documents: gen-examples, and transfer
+    # and dcrit on what it writes
+    ex = tmp_path / "ex"
+    assert main(["gen-examples", "--out", str(ex), "--seed", "5"]) == 0
+    assert main(["transfer", str(ex / "tower_0.json"), "--out", str(tmp_path / "tr")]) == 0
+    assert main(["dcrit", str(ex / "potential_0.json"), "--out", str(tmp_path / "dc")]) == 0
+    kinds = {}
+    for d in (ex, tmp_path / "tr", tmp_path / "dc"):
+        for path in sorted(d.iterdir()):
+            kinds[path.name] = json.loads(path.read_text())["kind"]
+    assert {name: kind for name, kind in kinds.items() if kind not in COMMANDS_OF_KIND} == {}
+    assert len(kinds) == 7 + 3 + 2
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("check", "--arity-check", "0"),
+    ("check", "--arity-check", "-1"),
+    ("transfer", "--arity-out", "0"),
+    ("solve-mc", "--n-seeds", "-3"),
+    ("solve-mc", "--tol-mc", "nan"),
+    ("solve-mc", "--tol-mc", "0"),
+    ("nerve", "--tol-mc", "inf"),
+    ("nerve", "--step", "0"),
+    ("nerve", "--step", "-0.02"),
+    ("nerve", "--step", "nan"),
+    ("nerve", "--n-seeds", "-1"),
+])
+def test_numeric_options_out_of_range_exit_2(tmp_path, capsys, command, option, value):
+    # a check of no word passes anything, a zero step divides by zero, a
+    # negative seed count or a nan tolerance writes nonsense: none runs
+    rng = random.Random(40)
+    _, bad, _ = nilpotent_tower_with_corruption(rng)
+    path = _write(str(tmp_path / "bad.json"), "linfty_algebra", serialize.algebra_payload(bad))
+    out = tmp_path / "out"
+    assert main([command, path, option, value, "--out", str(out)]) == 2
+    assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_orient_exit_codes(tmp_path):
     good = OrientationCocycle(
         2, [Fraction(4), Fraction(9)], {(0, 1): Fraction(3, 2)}
@@ -302,6 +382,15 @@ def _cocycle_with_zero_transition():
     return {"n_vertices": 2, "fibers": ["1", "4"], "transitions": [[0, 1, "0"]]}
 
 
+def _morphism_with(key, value):
+    from homotopylie.generators import weighted_nilpotent_dgla
+    from homotopylie.transfer import minimal_model
+
+    payload = serialize.morphism_payload(minimal_model(weighted_nilpotent_dgla(random.Random(1))).inclusion)
+    payload[key] = value
+    return payload
+
+
 MALFORMED = {
     "output index out of range": ("linfty_algebra", lambda: _tower_with(_set_output(999)),
                                   ["check", "transfer"]),
@@ -358,6 +447,9 @@ MALFORMED = {
                                     ["orient"]),
     "fibers that are an int": ("orientation_cocycle", lambda: {"n_vertices": 2, "fibers": 3, "transitions": []},
                                ["orient"]),
+    "morphism components that are a list": ("linfty_morphism",
+                                            lambda: _morphism_with("components", [[[0], 1, "1"]]), ["check"]),
+    "morphism source that is null": ("linfty_morphism", lambda: _morphism_with("source", None), ["check"]),
 }
 
 
@@ -421,14 +513,19 @@ FEW_SEEDS = {"solve-mc": ["--n-seeds", "2"], "nerve": ["--n-seeds", "2"]}
 
 @pytest.fixture(scope="module")
 def fuzz_documents(tmp_path_factory):
-    """The documents of `gen-examples --seed 5` that some command reads,
-    and one rational orientation cocycle, as parsed JSON by name."""
+    """The documents of `gen-examples --seed 5`, the two morphisms of
+    `transfer tower_1.json` and one rational orientation cocycle, as
+    parsed JSON by name: a document of every kind that a command reads."""
     ex = tmp_path_factory.mktemp("fuzz")
     assert main(["gen-examples", "--out", str(ex), "--seed", "5"]) == 0
+    assert main(["transfer", str(ex / "tower_1.json"), "--out", str(ex / "tr")]) == 0
+    for name in ("inclusion.json", "projection.json"):
+        (ex / name).write_text((ex / "tr" / name).read_text())
     cocycle = OrientationCocycle(2, [Fraction(4), Fraction(9)], {(0, 1): Fraction(3, 2)})
     _write(str(ex / "cocycle.json"), "orientation_cocycle", serialize.cocycle_payload(cocycle))
-    docs = {p.name: json.loads(p.read_text()) for p in sorted(ex.iterdir())}
-    return ex, {name: doc for name, doc in docs.items() if doc["kind"] in COMMANDS_OF_KIND}
+    docs = {p.name: json.loads(p.read_text()) for p in sorted(ex.glob("*.json"))}
+    assert {doc["kind"] for doc in docs.values()} == set(COMMANDS_OF_KIND)
+    return ex, docs
 
 
 def _paths(node, path=()):

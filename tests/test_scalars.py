@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from homotopylie.scalars import QQ, QQi, FloatComplexField, GaussianRational
 
@@ -61,3 +62,29 @@ def test_every_field_answers_the_protocol_that_generic_code_calls():
     assert FloatComplexField().eq(1 + 0j, 1 + 1e-12j)
     assert QQi.sqrt(GaussianRational(Fraction(4, 9))) == GaussianRational(Fraction(2, 3))
     assert QQi.sqrt(GaussianRational(2)) is None and QQi.sqrt(GaussianRational(0, 4)) is None
+
+
+@pytest.mark.parametrize("x, root", [
+    (GaussianRational(-4), GaussianRational(0, 2)),  # (2i)^2 = -4
+    (GaussianRational(0, 2), GaussianRational(1, 1)),  # (1 + i)^2 = 2i
+    (GaussianRational(0, -2), GaussianRational(1, -1)),
+    (GaussianRational(-3, 4), GaussianRational(1, 2)),
+    (GaussianRational(Fraction(-9, 4)), GaussianRational(0, Fraction(3, 2))),
+    (GaussianRational(0), GaussianRational(0)),
+    (GaussianRational(0, 4), None),  # |4i| = 4, but 2 is not a square
+    (GaussianRational(3), None),
+])
+def test_gaussian_square_roots_are_exact_and_principal(x, root):
+    assert QQi.sqrt(x) == root
+
+
+_rationals = st.fractions(max_denominator=50).filter(lambda q: abs(q) <= 100)
+
+
+@given(re=_rationals, im=_rationals)
+def test_the_gaussian_root_of_a_square_squares_back(re, im):
+    z = GaussianRational(re, im)
+    r = QQi.sqrt(z * z)
+    assert r is not None and r * r == z * z
+    assert r.re > 0 or (r.re == 0 and r.im >= 0)
+    assert r == z or r == -z

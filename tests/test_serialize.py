@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from homotopylie import serialize
 from homotopylie.generators import (
     weighted_nilpotent_dgla,
-    block_perturbed_context,
     random_adaptable_section,
     two_degree_dgla,
 )
@@ -46,18 +45,6 @@ def test_morphism_round_trip():
         assert set(mor.components) == set(back.components)
         for k in mor.components:
             assert mor.components[k].eq(back.components[k])
-
-
-def test_retract_round_trip():
-    rng = random.Random(3)
-    ctx, mu = block_perturbed_context(rng)
-    text = serialize.dumps("retract", serialize.retract_payload(ctx, mu))
-    _, payload = serialize.loads(text)
-    ctx2, mu2 = serialize.retract_from_payload(payload)
-    assert ctx2.i.eq(ctx.i) and ctx2.p.eq(ctx.p) and ctx2.h.eq(ctx.h)
-    assert ctx2.big.d.eq(ctx.big.d) and ctx2.small.d.eq(ctx.small.d)
-    assert mu2.eq(mu)
-    assert all(ctx2.identity_defects().values())
 
 
 def test_section_round_trip():
