@@ -3,8 +3,9 @@
 The canonical BV package of a potential passes the verifier; corrupting
 any one of the triangle, gauge or quasi-isomorphism conditions is
 detected with the matching witness class.  Orientation cocycles on chart
-graphs admit a global square-root section exactly when every cycle has
-trivial holonomy.
+graphs admit a global square-root section exactly when every edge matches
+its fibers and every cycle has trivial holonomy; the section is exact,
+rational coefficients times the root of one radicand per component.
 """
 
 from fractions import Fraction
@@ -18,6 +19,12 @@ from homotopylie.bv import (
     check_bv_orientable,
 )
 from homotopylie.generators import brst_circle
+
+
+def written_out(section):
+    """A section s_v = c_v sqrt(d_v) as the list of its terms."""
+    return ", ".join("%s sqrt(%s)" % (c, d) for c, d in section)
+
 
 x1, x2 = (MultiPoly.variable(2, i, QQ) for i in range(2))
 bv = canonical_dcrit_bv(x1 ** 3 - x1 * x2)
@@ -38,7 +45,13 @@ tree = OrientationCocycle(
     {(0, 1): Fraction(3, 2), (1, 2): Fraction(5, 3)},
 )
 ok, section = check_bv_orientable(tree)
-print("tree cocycle orientable:", ok, "section:", section)
+print("tree cocycle orientable:", ok, "section:", written_out(section))
+
+# fibers that are not rational squares keep an exact section:
+# (sqrt 2, 2 sqrt 2), the root of the first fiber times rationals
+non_square = OrientationCocycle(2, [Fraction(2), Fraction(8)], {(0, 1): Fraction(2)})
+ok, section = check_bv_orientable(non_square)
+print("non-square cocycle orientable:", ok, "section:", written_out(section))
 
 loop = OrientationCocycle(
     3,

@@ -1,15 +1,15 @@
 """Homotopy BV data and verification: the action/bundle-map triangle,
 gauge invariance, tangent-cotangent quasi-isomorphisms, shifted
 symplectic checks, pullbacks, effective actions, metric structures,
-volume forms and BV orientability as a sign-consistency problem on the
-nerve graph.
+volume forms, and BV orientability of a rational cocycle on a graph of
+charts, decided exactly: a section is written as rational coefficients
+times the square root of one radicand per component.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from fractions import Fraction
 
 from . import linalg
 from .polynomial import (
@@ -380,10 +380,8 @@ def restrict_metric(ms, basis):
     return Qr, VolumeForm(basis, sign * root, exact)
 
 
-# tolerance of the float comparisons in check_volume_pullback and
-# check_bv_orientable
+# tolerance of the float comparison in check_volume_pullback
 VOLUME_TOL = 1e-10
-ORIENT_TOL = 1e-9
 
 
 def check_volume_pullback(field, det_J, vol_total, vol_fiber, vol_base):
@@ -400,72 +398,49 @@ def check_volume_pullback(field, det_J, vol_total, vol_fiber, vol_base):
 
 class OrientationCocycle:
     """Per-vertex determinant line values and per-edge transitions on a
-    graph of charts."""
+    graph of charts, all rational."""
 
     def __init__(self, n_vertices, fiber_values, transitions):
         self.n_vertices = n_vertices
-        self.fiber_values = list(fiber_values)
-        self.transitions = dict(transitions)  # (i, j) -> scalar
+        self.fiber_values = [QQ.coerce(f) for f in fiber_values]
+        self.transitions = {e: QQ.coerce(t) for e, t in transitions.items()}  # (i, j) -> t
 
 
 def check_bv_orientable(oc):
-    """Search for per-vertex square roots s_v with s_v^2 = fiber value
-    and s_j = t_ij s_i along every edge.  Returns (True, section) or
-    (False, violating cycle as a vertex list).  When every fiber is +- a
-    rational square and every transition is rational, the roots and all
-    comparisons are exact (a root of a negative fiber is a
-    GaussianRational); otherwise roots are cmath roots compared within
-    ORIENT_TOL."""
-    import cmath
-
-    n = oc.n_vertices
-    roots = _exact_roots(oc.fiber_values)
-    if roots is not None and all(isinstance(t, (int, Fraction)) for t in oc.transitions.values()):
-        scalar = Fraction
-
-        def near(a, b):
-            return a == b
-    else:
-        roots = [cmath.sqrt(complex(v)) for v in oc.fiber_values]
-        scalar = complex
-
-        def near(a, b):
-            return abs(a - b) <= ORIENT_TOL
+    """Decide in exact rationals whether there are square roots s_v of
+    the fiber values f_v with s_j = t_ij s_i along every edge.  A
+    component is walked from its smallest vertex r with c_r = 1: an edge
+    (v, w, t) is admissible when f_v != 0 and t^2 f_v = f_w, and then
+    c_w = t c_v, so f_v = c_v^2 f_r and s_v = c_v sqrt(f_r).  Returns
+    (True, [(c_v, d_v), ...]) with s_v = c_v sqrt(d_v), the principal root
+    (sqrt(d) = i sqrt(|d|) for d < 0): when f_r is +- a rational square its
+    root is folded into c_v (a rational, or a Gaussian rational for a
+    negative f_r) and d_v = 1, otherwise d_v = f_r.  Or (False, vertex
+    list): the tree path to an edge that is not admissible followed by
+    its far end, or a cycle whose transitions multiply to -1."""
+    f = oc.fiber_values
     adj = {}
     for (i, j), t in oc.transitions.items():
-        adj.setdefault(i, []).append((j, scalar(t)))
-        adj.setdefault(j, []).append((i, 1 / scalar(t)))
-
-    def edge_sign(i, j, t):
-        """The sign forced on eps_i * eps_j, or None if the data is not
-        even a cocycle candidate on this edge."""
-        if near(roots[j], 0) or near(roots[i], 0):
-            return None
-        q = t * roots[i] / roots[j]
-        if near(q, 1):
-            return 1
-        if near(q, -1):
-            return -1
-        return None
-
-    eps = [None] * n
+        adj.setdefault(i, []).append((j, t))
+        adj.setdefault(j, []).append((i, QQ.div(1, t)))
+    coeff = [None] * oc.n_vertices
+    top = [None] * oc.n_vertices
     parent = {}
-    for start in range(n):
-        if eps[start] is not None:
+    for start in range(oc.n_vertices):
+        if coeff[start] is not None:
             continue
-        eps[start] = 1
+        coeff[start], top[start] = QQ.one, start
         stack = [start]
         while stack:
             v = stack.pop()
             for w, t in adj.get(v, []):
-                s = edge_sign(v, w, t)
-                if s is None:
+                if f[v] == 0 or t * t * f[v] != f[w]:
                     return False, _cycle_to(parent, v) + [w]
-                if eps[w] is None:
-                    eps[w] = eps[v] * s
+                if coeff[w] is None:
+                    coeff[w], top[w] = t * coeff[v], start
                     parent[w] = v
                     stack.append(w)
-                elif eps[w] != eps[v] * s:
+                elif coeff[w] != t * coeff[v]:
                     # violating cycle: tree path v -> root -> w plus edge
                     pv = _path_to_root(parent, v)
                     pw = _path_to_root(parent, w)
@@ -481,23 +456,15 @@ def check_bv_orientable(oc):
                             break
                         tail.append(x)
                     return False, cyc + list(reversed(tail))
-    section = [eps[v] * roots[v] for v in range(n)]
+    roots = {r: QQi.sqrt(QQi.coerce(f[r])) for r in set(top)}
+    section = []
+    for c, r in zip(coeff, top):
+        root = roots[r]
+        if root is None:
+            section.append((c, f[r]))
+        else:
+            section.append((root * c if root.im else QQ.coerce(root.re * c), QQ.one))
     return True, section
-
-
-def _exact_roots(values):
-    """Square roots of rationals that are +- rational squares: rational
-    for a fiber >= 0, i times a rational for a negative one; None when
-    some value is not of that form."""
-    roots = []
-    for v in values:
-        if not isinstance(v, (int, Fraction)):
-            return None
-        r = QQi.sqrt(QQi.coerce(v))
-        if r is None:
-            return None
-        roots.append(r if r.im else QQ.coerce(r.re))
-    return roots
 
 
 def _path_to_root(parent, v):

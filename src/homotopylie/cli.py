@@ -19,10 +19,9 @@ import math
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import serialize
-from .scalars import QQ, QQi, FloatComplexField, GaussianRational, get_field
+from .scalars import QQ, QQi, get_field
 from .polynomial import MultiPoly
 from .transfer import minimal_model
 from .qs import dcrit, minimal_decomposition, morse_thom_split
@@ -135,17 +134,12 @@ def _mc_seeds(alg, args):
 
 
 def cmd_solve_mc(args):
-    alg = to_float_algebra(_load_algebra(args.file), tol=args.tol_mc)
+    alg = to_float_algebra(_load_algebra(args.file))
     sols = []
     for seed in _mc_seeds(alg, args):
         sol = solve_mc(alg, seed, tol=args.tol_mc)
         if sol.converged:
-            sols.append(
-                {
-                    "vector": {str(i): [c.real, c.imag] for i, c in sorted(sol.vector.items())},
-                    "residual": sol.residual,
-                }
-            )
+            sols.append(sol.to_json_dict())
     payload = {
         "solutions": sols,
         "seeds": args.n_seeds,
@@ -157,7 +151,7 @@ def cmd_solve_mc(args):
 
 
 def cmd_nerve(args):
-    alg = to_float_algebra(_load_algebra(args.file), tol=args.tol_mc)
+    alg = to_float_algebra(_load_algebra(args.file))
     graph = build_nerve(alg, _mc_seeds(alg, args), tol=args.tol_mc, flow_step=args.step)
     if args.format == "text":
         _emit(args, "nerve.txt", graph.to_graph_text() + "\n")
@@ -221,17 +215,13 @@ def cmd_bv_verify(args):
 
 def cmd_orient(args):
     _, payload = _read_doc(args.file, "orientation_cocycle")
-    oc = serialize.cocycle_from_payload(payload)
-    ok, data = check_bv_orientable(oc)
+    ok, data = check_bv_orientable(serialize.cocycle_from_payload(payload))
     if ok:
-        # exact roots as Gaussian rationals, cmath roots as floats
-        section = [
-            QQi.to_json(QQi.coerce(s))
-            if isinstance(s, (int, Fraction, GaussianRational))
-            else FloatComplexField().to_json(complex(s))
-            for s in data
-        ]
-        out = {"orientable": True, "section": section}
+        # s_v = c_v sqrt(d_v): one Gaussian-rational coefficient and one
+        # rational radicand per vertex
+        out = {"orientable": True,
+               "section": [QQi.to_json(QQi.coerce(c)) for c, _ in data],
+               "radicand": [QQ.to_json(d) for _, d in data]}
     else:
         out = {"orientable": False, "cycle": list(data)}
     _emit(args, "orientation.json", serialize.dumps("orientation_report", out))

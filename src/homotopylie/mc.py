@@ -4,7 +4,7 @@ interval path object, pushforward of flows through morphisms, the
 dgla model with a retract.
 
 Flows always run in float mode; exact algebras are converted first, once
-per tolerance, and each float algebra keeps one sparse evaluation plan.
+each, and each float algebra keeps one sparse evaluation plan.
 Gauge parameters are constant.  On a tower with no bracket above arity 2
 (a dgla) the anchor at a fixed gauge parameter is affine in the point, so
 every classical RK4 step is the same affine map G -> P G + q, and m steps
@@ -35,30 +35,29 @@ SHOOT_MAX_ITER = 12
 SHOOT_FD = 1e-6
 EDGE_TOL = 1e-6
 
-# memos keyed weakly by algebra: an exact algebra's float conversions per
-# tol, and a float algebra's sparse tower.  They live here, not on the
-# algebra, so that an exact algebra holds no float after a conversion.
+# memos keyed weakly by algebra: an exact algebra's float conversion and a
+# float algebra's sparse tower.  They live here, not on the algebra, so
+# that an exact algebra holds no float after a conversion.
 _FLOAT_ALGEBRAS = weakref.WeakKeyDictionary()
 _SPARSE_TOWERS = weakref.WeakKeyDictionary()
 
 
 # ------------------------------------------------------- float conversion
 
-def to_float_algebra(alg, tol=1e-10):
+def to_float_algebra(alg):
     """The same structure constants over approximate complex scalars.
 
-    The result is memoized per tol for each exact algebra, so one exact
-    tower keeps one float algebra and one sparse tower.  The exact algebra
-    is treated as immutable after its first conversion, as the sparse
-    tower cache already assumes of the float one."""
+    The result is memoized for each exact algebra, so one exact tower
+    keeps one float algebra and one sparse tower.  The exact algebra is
+    treated as immutable after its first conversion, as the sparse tower
+    cache already assumes of the float one."""
     if not alg.field.exact:
         return alg
-    cache = _FLOAT_ALGEBRAS.setdefault(alg, {})
-    if tol not in cache:
-        space = GradedSpace(alg.space.dims, alg.space.labels, field=FloatComplexField(tol))
+    if alg not in _FLOAT_ALGEBRAS:
+        space = GradedSpace(alg.space.dims, alg.space.labels, field=FloatComplexField())
         sp = space.shifted(1)
-        cache[tol] = LInftyAlgebra(space, {k: _float_op(op, sp, sp) for k, op in alg.sops.items()})
-    return cache[tol]
+        _FLOAT_ALGEBRAS[alg] = LInftyAlgebra(space, {k: _float_op(op, sp, sp) for k, op in alg.sops.items()})
+    return _FLOAT_ALGEBRAS[alg]
 
 
 def to_float_morphism(F):
@@ -75,10 +74,6 @@ def _float_op(op, source, target):
     new = MultiLinearOp(source, target, op.arity, op.degree, op.symmetry)
     new.entries = {key: source.field.coerce(c) for key, c in op.entries.items()}
     return new
-
-
-def float_vector(field, x):
-    return {i: field.coerce(c) for i, c in x.items()}
 
 
 def vec_dist(x, y):
@@ -218,6 +213,14 @@ class MCElement:
         self.residual = residual
         self.converged = converged
         self.iterations = iterations
+
+    def to_json_dict(self):
+        """The solution as plain JSON: its vector as [re, im] by index,
+        and its residual."""
+        return {
+            "vector": {str(i): [c.real, c.imag] for i, c in sorted(self.vector.items())},
+            "residual": self.residual,
+        }
 
 
 def solve_mc(alg, seed, tol=1e-10):
@@ -385,13 +388,12 @@ def gauge_flow(alg, mu, eta, step=DEFAULT_STEP, n_samples=11):
     samples is one call of `_constant_flow`: on a dgla, one power of the
     RK4 step map."""
     algf = to_float_algebra(alg)
-    field = algf.field
     tower = _sparse_tower(algf)
-    E = _to_dense(tower.n, float_vector(field, eta))
+    E = _to_dense(tower.n, eta)
     n_steps, h = _n_steps(step)
     sample_every = max(1, n_steps // max(1, n_samples - 1))
     advance = _constant_flow(tower, E[None], h)
-    G = _to_dense(tower.n, float_vector(field, mu))[None]
+    G = _to_dense(tower.n, mu)[None]
     times, samples = [0.0], [_to_dict(G[0])]
     done = 0
     for upto in list(range(sample_every, n_steps, sample_every)) + [n_steps]:
@@ -441,19 +443,9 @@ class NerveGraph:
         return sorted(groups.values())
 
     def to_json_dict(self):
-        verts = []
-        for m in self.vertices:
-            verts.append(
-                {
-                    "vector": {
-                        str(i): [c.real, c.imag] for i, c in sorted(m.vector.items())
-                    },
-                    "residual": m.residual,
-                }
-            )
         edges = [{"from": i, "to": j} for i, j, _ in self.edges]
         return {
-            "vertices": verts,
+            "vertices": [m.to_json_dict() for m in self.vertices],
             "edges": edges,
             "components": self.components(),
             "seeds": self.n_seeds,

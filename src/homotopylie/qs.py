@@ -94,9 +94,10 @@ class QsMorphism:
     """(base, bundle): base is a list of target.nvars polynomials in the
     source variables; bundle is a target.rank x source.rank matrix of
     polynomials in the source variables, with
-    bundle(x) . section_src(x) = section_tgt(base(x))."""
+    bundle(x) . section_src(x) = section_tgt(base(x)).  The constructor
+    takes the maps as given; `compat_defect` checks that identity."""
 
-    def __init__(self, source, target, base, bundle, check=True):
+    def __init__(self, source, target, base, bundle):
         self.source = source
         self.target = target
         self.field = source.field
@@ -105,10 +106,6 @@ class QsMorphism:
         # constants in the source's variables
         self.base = [self._poly(p) for p in base]
         self.bundle = [[self._poly(p) for p in row] for row in bundle]
-        if check:
-            ok, witness = self.compat_defect()
-            if not ok:
-                raise ValueError("bundle map does not intertwine sections: %r" % (witness,))
 
     def _poly(self, p):
         if isinstance(p, MultiPoly):
@@ -138,7 +135,7 @@ class QsMorphism:
         base = [p.substitute(other.base) for p in self.base]
         outer = [[q.substitute(other.base) for q in row] for row in self.bundle]
         bundle = poly_matmul(outer, other.bundle, other.source.rank, other.source.nvars, self.field)
-        return QsMorphism(other.source, self.target, base, bundle, check=False)
+        return QsMorphism(other.source, self.target, base, bundle)
 
     def is_identity(self):
         if self.source.nvars != self.target.nvars or self.source.rank != self.target.rank:
@@ -159,7 +156,7 @@ class QsMorphism:
 def identity_morphism(qs):
     base = linear_forms(linalg.identity(qs.field, qs.nvars), qs.field)
     bundle = constant_matrix(qs.nvars, linalg.identity(qs.field, qs.rank), qs.field)
-    return QsMorphism(qs, qs, base, bundle, check=False)
+    return QsMorphism(qs, qs, base, bundle)
 
 
 def is_quasi_iso(morph, points):
@@ -227,7 +224,7 @@ class MinimalDecomposition:
         base = linear_forms(keep_z, f)
         first = [row[:self.minimal.rank] for row in linalg.identity(f, self.adapted.rank)]
         bundle = constant_matrix(self.n_min, first, f)
-        return QsMorphism(self.minimal, self.adapted, base, bundle, check=False)
+        return QsMorphism(self.minimal, self.adapted, base, bundle)
 
     def projection(self):
         nv, f = self.adapted.nvars, self.field
@@ -236,7 +233,7 @@ class MinimalDecomposition:
             row + [-M[a] for M in self.M_rows]
             for a, row in enumerate(constant_matrix(nv, linalg.identity(f, self.minimal.rank), f))
         ]
-        return QsMorphism(self.adapted, self.minimal, base, bundle, check=False)
+        return QsMorphism(self.adapted, self.minimal, base, bundle)
 
     def homotopy_at(self, t):
         """The contraction at parameter value t, as an endomorphism of the
@@ -249,7 +246,7 @@ class MinimalDecomposition:
         for a in range(rp):
             for i, M in enumerate(self.M_rows):
                 bundle[a][rp + i] = M[a].substitute(base).scale(t) - M[a]
-        return QsMorphism(self.adapted, self.adapted, base, bundle, check=False)
+        return QsMorphism(self.adapted, self.adapted, base, bundle)
 
     def verify(self):
         """All decomposition identities, exactly, from two homotopies.

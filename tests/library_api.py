@@ -49,6 +49,7 @@ LIBRARY_API = {
         "scalars.FloatComplexField.eq",
         "scalars.FloatComplexField.from_json",
         "scalars.FloatComplexField.mag",
+        "scalars.FloatComplexField.to_json",
         "scalars.GaussianRational.__eq__",
         "scalars.GaussianRational.__rtruediv__",
         "scalars.GaussianRationalField.eq",

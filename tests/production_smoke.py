@@ -5,8 +5,8 @@ The smoke is what a user of the package runs: the CLI on the documents of
 `check` on the two morphisms of a `transfer` and on a corrupted
 inclusion, the first tower again over the Gaussian rationals, the nerve of the BRST
 circle, a Morse split that swaps coordinates, one failing `check`, one
-rejected `bv-verify`, orientable cocycles with exact and with float roots,
-two non-orientable ones, and the three demos.  The trace records every
+rejected `bv-verify`, orientable cocycles with square and with non-square
+roots, two non-orientable ones, and the three demos.  The trace records every
 function code object of the package that is called (comprehensions are
 not functions here).
 
@@ -135,7 +135,7 @@ def run(work):
         ({"n_vertices": 2, "fibers": ["4", "9"], "transitions": [[0, 1, "3/2"]]}, 0),
         ({"n_vertices": 3, "fibers": ["1", "1", "1"],
           "transitions": [[0, 1, "1"], [1, 2, "1"], [0, 2, "-1"]]}, 1),
-        # fibers that are not rational squares: float roots
+        # fibers that are not rational squares: non-square roots
         ({"n_vertices": 2, "fibers": ["2", "8"], "transitions": [[0, 1, "2"]]}, 0),
         # a transition that is not +- the ratio of the roots
         ({"n_vertices": 2, "fibers": ["4", "9"], "transitions": [[0, 1, "1"]]}, 1),

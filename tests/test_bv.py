@@ -1,7 +1,9 @@
+import math
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homotopylie import QQ
 from homotopylie.graded import GradedSpace
@@ -171,6 +173,7 @@ def test_pullback_along_contractible_inclusion():
     base = [var(1, 0), MultiPoly.zero(1, QQ)]
     bundle = [[const(1, 1)], [const(1, 0)]]
     phi = QsMorphism(qs_small, qs_big, base, bundle)
+    assert phi.compat_defect()[0]
     bv_small = pullback_bv(phi, bv_big)
     assert (bv_small.S - S).is_zero()
     assert (bv_small.sigma[0][0] - const(1, 1)).is_zero()
@@ -242,13 +245,11 @@ def test_volume_pullback_identity_and_sign():
 
 def test_orientable_tree():
     fibers = [F(4), F(9), F(25)]
-    roots = [2, 3, 5]
     transitions = {(0, 1): F(3, 2), (1, 2): F(-5, 3)}
     ok, section = check_bv_orientable(OrientationCocycle(3, fibers, transitions))
-    assert ok
-    s = {i: v for i, v in enumerate(section)}
+    assert ok and section == [(2, 1), (3, 1), (-5, 1)]
     for (i, j), t in transitions.items():
-        assert abs(complex(t) * s[i] - s[j]) < 1e-9
+        assert t * section[i][0] == section[j][0]
 
 
 def test_three_cycle_holonomy_not_orientable():
@@ -261,4 +262,59 @@ def test_three_cycle_holonomy_not_orientable():
 
 def test_single_vertex_orientable():
     ok, section = check_bv_orientable(OrientationCocycle(1, [F(7)], {}))
-    assert ok and len(section) == 1
+    assert ok and section == [(1, 7)]
+
+
+@st.composite
+def rational_cocycles(draw):
+    """Cocycles of up to five vertices, one edge per pair of vertices at
+    most: per component a root fiber f_r (a rational square, minus one,
+    or neither) and fibers c_v^2 f_r, tree edges in either direction with
+    transitions c_w / c_v, some of them flipped or doubled, and maybe one
+    closing edge (0, n - 1)."""
+    q = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    n = draw(st.integers(1, 5))
+    c = [draw(q) for _ in range(n)]
+    fr = [draw(st.one_of(q.map(lambda x: x * x), q.map(lambda x: -x * x), q)) for _ in range(n)]
+    top, edges = list(range(n)), {}
+    for w in range(1, n):
+        if draw(st.booleans()):
+            continue  # w starts a component of its own
+        v = draw(st.integers(0, w - 1))
+        top[w] = top[v]
+        edges[(v, w)] = c[w] / c[v]
+    if n > 2 and (0, n - 1) not in edges:
+        edges[(0, n - 1)] = c[n - 1] / c[0]
+    transitions = {}
+    for (v, w), t in edges.items():
+        t *= draw(st.sampled_from([1, 1, 1, -1, 2]))
+        if draw(st.booleans()):
+            transitions[(v, w)] = t
+        else:
+            transitions[(w, v)] = 1 / t
+    return OrientationCocycle(n, [c[v] * c[v] * fr[top[v]] for v in range(n)], transitions)
+
+
+def _transition(oc, v, w):
+    """The transition from v to w along their edge."""
+    t = oc.transitions.get((v, w))
+    return t if t is not None else 1 / oc.transitions[(w, v)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(oc=rational_cocycles())
+def test_the_exact_walk_gives_a_section_or_a_witness(oc):
+    ok, data = check_bv_orientable(oc)
+    f = oc.fiber_values
+    if ok:
+        for (c, d), fv in zip(data, f):
+            assert c * c * d == fv
+        for (i, j), t in oc.transitions.items():
+            assert data[j][0] == t * data[i][0] and data[i][1] == data[j][1]
+        return
+    # every step of the witness is an edge
+    ts = [_transition(oc, v, w) for v, w in zip(data, data[1:])]
+    v, w = data[-2], data[-1]
+    if ts[-1] * ts[-1] * f[v] != f[w]:
+        return  # it ends at an edge whose transition does not match its fibers
+    assert len(data) >= 3 and math.prod(ts) * _transition(oc, w, data[0]) == -1

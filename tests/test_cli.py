@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from homotopylie import QQ, serialize
 from production_smoke import COMMANDS_OF_KIND
+from exactness import assert_exact_document
 from homotopylie.cli import main
 from homotopylie.generators import nilpotent_tower_with_corruption
 from homotopylie.bv import OrientationCocycle, canonical_dcrit_bv
@@ -228,6 +229,19 @@ def test_orient_negative_fibers_give_imaginary_section(tmp_path):
     rep = json.loads(_read(str(tmp_path / "o" / "orientation.json")))["payload"]
     assert rep["orientable"] is True
     assert rep["section"] == [["0", "2"], ["0", "3"]]  # (2i, 3i)
+    assert rep["radicand"] == ["1", "1"]
+
+
+def test_orient_writes_an_exact_section_for_fibers_that_are_not_squares(tmp_path):
+    # fibers (2, 8) along a transition 2: the section (sqrt 2, 2 sqrt 2)
+    oc = OrientationCocycle(2, [Fraction(2), Fraction(8)], {(0, 1): Fraction(2)})
+    path = _write(str(tmp_path / "c.json"), "orientation_cocycle", serialize.cocycle_payload(oc))
+    assert main(["orient", path, "--out", str(tmp_path / "o")]) == 0
+    text = _read(str(tmp_path / "o" / "orientation.json"))
+    assert_exact_document(text)
+    rep = json.loads(text)["payload"]
+    assert rep["section"] == [["1", "0"], ["2", "0"]]
+    assert rep["radicand"] == ["2", "2"]
 
 
 def test_float_commands_read_a_rational_complex_tower_as_its_rational_twin(tmp_path):

@@ -112,12 +112,12 @@ def stepwise_flow(alg, mu, eta, step):
     n_steps // 10 steps and at the last."""
     alg = to_float_algebra(alg)
     tower = _sparse_tower(alg)
-    E = mc._to_dense(tower.n, mc.float_vector(alg.field, eta))[None]
+    E = mc._to_dense(tower.n, eta)[None]
     anchor = tower.anchor(E)
     n_steps = max(1, int(round(1.0 / step)))
     h = 1.0 / n_steps
     every = max(1, n_steps // 10)
-    G = mc._to_dense(tower.n, mc.float_vector(alg.field, mu))[None]
+    G = mc._to_dense(tower.n, mu)[None]
     times, samples = [0.0], [mc._to_dict(G[0])]
     for s in range(n_steps):
         G = _rk4_step(lambda g: -anchor(g), G, h)
@@ -341,11 +341,10 @@ def test_affine_powers_match_repeated_steps_and_batch_bitwise(name):
         assert np.max(np.abs(got - want)) <= 1e-12 * scale, (name, m)
 
 
-def test_float_conversion_is_memoized_per_tol(monkeypatch):
+def test_float_conversion_is_memoized(monkeypatch):
     alg = lambda_dgla()
     algf = to_float_algebra(alg)
     assert to_float_algebra(alg) is algf
-    assert to_float_algebra(alg, tol=1e-8) is not algf
     assert to_float_algebra(algf) is algf
     built = []
 

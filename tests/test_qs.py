@@ -142,8 +142,8 @@ def test_constant_matrix_and_linear_forms_match_sympy(case):
 def test_compose_through_a_rank_zero_bundle_keeps_its_columns():
     z = var(1, 0)
     cusp, line = dcrit(z * z * z), QsSpace(1, 0, [])
-    onto_line = QsMorphism(cusp, line, [z], [], check=False)
-    from_line = QsMorphism(line, cusp, [z], [[]], check=False)
+    onto_line = QsMorphism(cusp, line, [z], [])
+    from_line = QsMorphism(line, cusp, [z], [[]])
     composite = from_line.compose(onto_line)
     assert len(composite.bundle) == 1 and len(composite.bundle[0]) == 1
     assert composite.bundle[0][0].is_zero()
@@ -155,9 +155,9 @@ def test_compose_through_a_space_with_no_variables():
     variables, whether the point's map has a scalar or a polynomial base."""
     z = var(1, 0)
     cusp, pt = dcrit(z * z * z), QsSpace(0, 0, [])
-    to_pt = QsMorphism(cusp, pt, [], [], check=False)
+    to_pt = QsMorphism(cusp, pt, [], [])
     for base in ([0], [MultiPoly.zero(0, QQ)]):
-        composite = QsMorphism(pt, cusp, base, [[]], check=False).compose(to_pt)
+        composite = QsMorphism(pt, cusp, base, [[]]).compose(to_pt)
         polys = composite.base + [p for row in composite.bundle for p in row]
         assert len(polys) == 2 and all(isinstance(p, MultiPoly) and p.nvars == 1 for p in polys)
         assert composite.base_jacobian_at([F(2)]) == [[0]]
@@ -219,7 +219,7 @@ def test_non_quasi_iso_detected():
     z = var(1, 0)
     fat = dcrit(z * z * z)  # H^1 = H^2 = 1 at the origin
     pt = QsSpace(0, 0, [])
-    m = QsMorphism(pt, fat, [MultiPoly.zero(0, QQ)], [], check=False)
+    m = QsMorphism(pt, fat, [MultiPoly.zero(0, QQ)], [])
     assert not is_quasi_iso(m, [[]])
 
 
